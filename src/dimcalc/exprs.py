@@ -1,16 +1,17 @@
 """Expression language for the calculator.
 
-Grammar sketch (whitespace free between tokens):
+Grammar sketch (whitespace free between tokens).  One binding-power loop
+reads the infix operators, loosest first; each right operand binds one
+power tighter, so chains associate to the left:
 
-    expression := operand ( ('<=' | '==') operand )?
-    operand    := arith ( ('boxplus' | 'oplus') arith )*     same word only;
-                                                             parentheses required to mix
-    arith      := term ( ('+' | '-') term-or-int-chain )*    '+' is integer addition,
-                                                             type shift, or group sum,
-                                                             decided by the left kind
-    term       := primary ( '*' primary | '*' postfix )*     integer product, or the
-                                                             mirror involution when
-                                                             nothing follows the star
+    expression := primary ( OPERATOR primary )*
+    '<=' '=='          one comparison at most; both sides of one kind
+    'boxplus' 'oplus'  same word only; parentheses required to mix
+    '+' '-'            integer addition, type shift, or group sum, decided
+                       by the left kind; a shift amount is a greedy INT
+    '*'                integer product, or the mirror involution when no
+                       term follows the star
+
     primary    := NUM | 'inf' | name | '(' expression ')'
                 | ['DT'] '{' 'q' '=' INT ';' '*' '=' DECNUM ( ';' PRIME '=' DECNUM )* '}'
                 | 'B' '(' INT ')' | 'C' '(' INT ')'
@@ -18,21 +19,26 @@ Grammar sketch (whitespace free between tokens):
                 | 'Q' | 'Z' ['^' NUM | '/' NUM] | 'Zpinf' '(' INT ')' | 'Zloc' '(' INT ')'
                 | 'pres' '[' ( '[' INT (',' INT)* ']' )* ']'
                 | '-' primary
+    INT        := term ( ('+' | '-') term )*                 an integer expression
     DECNUM     := INT ['+' | '-']                            trailing sign is a
                                                              decoration when no term
                                                              follows it
+    NUM        := [0-9]+        name := [A-Za-z_][A-Za-z0-9_]*
 
 Integer subexpressions may contain free parameters (any non-reserved
 name); they are bound at evaluation time.  Literals with no parameters
-are validated during parsing, so a malformed type never survives to
-evaluation.  Every diagnostic carries a 1-based line and column.
+are validated once, during parsing, and keep their value, so a malformed
+type never survives to evaluation.  Numbers have at most MAX_DIGITS
+digits and nesting is at most MAX_DEPTH deep.  Every diagnostic carries
+a 1-based line and column.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .decorated import (
     INF,
@@ -57,109 +63,83 @@ from .groups import (
     bockstein_basis,
 )
 
+MAX_DIGITS = 1000  # longest number literal
+MAX_DEPTH = 200  # deepest nesting of brackets and unary minus, and of a parse tree
 
-class ParseError(ValueError):
+
+def _where(line: int, column: int) -> str:
+    return f" (line {line}, column {column})"
+
+
+class _Positioned:
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(message + _where(line, column))
+        self.line = line
+        self.column = column
+
+
+class ParseError(_Positioned, ValueError):
     """Malformed input text; message ends with '(line L, column C)'."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
 
-
-class TypeMismatchError(TypeError):
+class TypeMismatchError(_Positioned, TypeError):
     """An operator applied across value kinds; positioned like ParseError."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
 
 
 class EvaluationError(RuntimeError):
     """A well-formed expression that has no value under the given bindings."""
 
 
-def _positioned(err: ValidityError, line: int, column: int) -> ValidityError:
-    # keep the concrete subclass so callers can still catch narrowly
-    out = type(err)(f"{err} (line {line}, column {column})")
+def _place(err: ValidityError | EvaluationError, line: int, column: int):
+    # keep the concrete subclass so callers can still catch narrowly; an
+    # error already placed inside a concrete literal moves to the literal,
+    # which reports every error of its own evaluation at itself
+    message = str(err)
+    if hasattr(err, "line"):
+        message = message.removesuffix(_where(err.line, err.column))
+    out = type(err)(message + _where(line, column))
     out.line = line
     out.column = column
     return out
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # num | name | op | end
     text: str
     line: int
     column: int
 
 
-_TWO_CHAR_OPS = ("==", "<=")
-_ONE_CHAR_OPS = set("{}()[];,=+-*/^<>")
-
-_RESERVED = {
-    "DT", "B", "C", "dim", "sigma",
-    "Q", "Z", "Zpinf", "Zloc", "pres",
-    "inf", "boxplus", "oplus",
-}
+# one alternative per token kind, in the order of _TOKEN_KINDS; anything
+# else that is not whitespace is an unexpected character
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(==|<=|[{}()\[\];,=+\-*/^<>])|(\S)")
+_TOKEN_KINDS = (None, "num", "name", "op", "bad")
 
 
 def _tokenize(text: str, start_line: int = 1) -> list[Token]:
     tokens: list[Token] = []
-    line, col = start_line, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text[i : i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token("op", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            tokens.append(Token("op", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+    for line, row in enumerate(text.split("\n"), start_line):
+        for match in _TOKEN.finditer(row):
+            kind, word, column = _TOKEN_KINDS[match.lastindex], match.group(), match.start() + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", line, column)
+            if kind == "num" and len(word) > MAX_DIGITS:
+                raise ParseError(f"number longer than {MAX_DIGITS} digits", line, column)
+            tokens.append(Token(kind, word, line, column))
+    tokens.append(Token("end", "", line, len(row) + 1))
     return tokens
 
 
 @dataclass(frozen=True)
 class Expr:
-    """A parsed node; args nest Expr, tuples and plain atoms."""
+    """A parsed node; args nest Expr, tuples and plain atoms.  ``value``
+    is the value of a literal without parameters, built by the parser."""
 
     op: str
     args: tuple = ()
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
+    value: object = field(default=None, compare=False, repr=False)
 
 
 _KINDS = {
@@ -181,28 +161,76 @@ def kind_of(expr: Expr) -> str:
     return _KINDS[expr.op]
 
 
+def _need(node: Expr, kind: str, message: str, at) -> Expr:
+    """``node`` if it has ``kind``; otherwise a TypeMismatchError placed at
+    ``at`` (a token or a node), with the kind found filled in for '{}'."""
+    found = _KINDS[node.op]
+    if found != kind:
+        raise TypeMismatchError(message.format(found), at.line, at.column)
+    return node
+
+
+def _walk(root: Expr, into_values: bool = True):
+    """Every node of a tree with its depth (the root has depth 1), without
+    recursion; optionally not below the nodes that keep a value."""
+    todo = [(root, 1)]
+    while todo:
+        node, depth = todo.pop()
+        yield node, depth
+        args = list(node.args)
+        while args:
+            arg = args.pop()
+            if isinstance(arg, Expr):
+                if into_values or arg.value is None:
+                    todo.append((arg, depth + 1))
+            elif isinstance(arg, tuple):
+                args.extend(arg)
+
+
 def free_parameters(expr: Expr) -> frozenset[str]:
     """Names of the unbound integer parameters in an expression."""
-    if expr.op == "param":
-        return frozenset({expr.args[0]})
-    found: set[str] = set()
+    return frozenset(n.args[0] for n, _ in _walk(expr, False) if n.op == "param")
 
-    def walk(arg):
-        if isinstance(arg, Expr):
-            found.update(free_parameters(arg))
-        elif isinstance(arg, tuple):
-            for a in arg:
-                walk(a)
 
-    for a in expr.args:
-        walk(a)
-    return frozenset(found)
+def _check_depth(root: Expr, into_values: bool = True) -> None:
+    for node, depth in _walk(root, into_values):
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             node.line, node.column)
+
+
+# binding powers of the infix operators, loosest first
+_POWER = {"<=": 1, "==": 1, "boxplus": 2, "oplus": 2, "+": 3, "-": 3, "*": 4}
+_COMPARABLE = {"<=": ("integer", "dimension type"),
+               "==": ("integer", "dimension type", "sigma-set")}
+# name(argument) primaries: node op and argument kind
+_CALLS = {
+    "B": ("bn", "integer"), "C": ("const", "integer"),
+    "Zpinf": ("circle", "integer"), "Zloc": ("localized", "integer"),
+    "dim": ("dim", "dimension type"), "sigma": ("sigma", "group"),
+}
+_RESERVED = {"DT", "Q", "Z", "pres", "inf", "boxplus", "oplus", *_CALLS}
+_SIGNS = {"+": Decoration.PLUS, "-": Decoration.MINUS}
+
+
+def _found(tok: Token) -> str:
+    return "end of input" if tok.kind == "end" else repr(tok.text)
+
+
+def _starts_term(tok: Token) -> bool:
+    if tok.kind == "num":
+        return True
+    if tok.kind == "name":
+        return tok.text not in ("boxplus", "oplus")
+    return tok.text in ("(", "-", "{")
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.params = 0  # parameter names read so far
+        self.depth = 0  # primaries open now: brackets, unary minus, literals
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -213,294 +241,209 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, text: str, what: str | None = None) -> Token:
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos].text != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.text != text or tok.kind == "end":
-            found = "end of input" if tok.kind == "end" else repr(tok.text)
-            label = what if what is not None else repr(text)
-            raise ParseError(f"expected {label}, found {found}", tok.line, tok.column)
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {_found(tok)}", tok.line, tok.column)
         return self.advance()
 
-    def _starts_term(self, tok: Token) -> bool:
-        if tok.kind == "num":
-            return True
-        if tok.kind == "name":
-            return tok.text not in ("boxplus", "oplus")
-        return tok.kind == "op" and tok.text in ("(", "-", "{")
-
-    # -- expression levels, loosest first --------------------------------
-
-    def parse_expression(self) -> Expr:
-        node = self.parse_operand()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("<=", "=="):
-            self.advance()
-            rhs = self.parse_operand()
-            lk, rk = kind_of(node), kind_of(rhs)
-            if lk != rk:
-                raise TypeMismatchError(f"cannot compare {lk} with {rk}", tok.line, tok.column)
-            allowed = ("integer", "dimension type") if tok.text == "<=" else (
-                "integer", "dimension type", "sigma-set")
-            if lk not in allowed:
-                raise TypeMismatchError(
-                    f"{tok.text!r} does not compare {lk} values", tok.line, tok.column)
-            op = "leq" if tok.text == "<=" else "eq"
-            node = Expr(op, (node, rhs), tok.line, tok.column)
-        return node
-
-    def parse_operand(self) -> Expr:
-        node = self.parse_arith()
-        first: str | None = None
-        while self.peek().kind == "name" and self.peek().text in ("boxplus", "oplus"):
-            tok = self.advance()
-            if first is None:
-                first = tok.text
-            elif tok.text != first:
-                raise ParseError(
-                    "parentheses required when mixing 'boxplus' and 'oplus'",
-                    tok.line, tok.column)
-            rhs = self.parse_arith()
-            for side in (node, rhs):
-                if kind_of(side) != "dimension type":
-                    raise TypeMismatchError(
-                        f"{tok.text!r} combines dimension types, not {kind_of(side)} values",
-                        tok.line, tok.column)
-            node = Expr(tok.text, (node, rhs), tok.line, tok.column)
-        return node
-
-    def parse_arith(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op" or tok.text not in ("+", "-"):
-                return node
-            if not self._starts_term(self.peek(1)):
-                return node  # a trailing sign is a decoration, not an operator
-            kind = kind_of(node)
-            self.advance()
-            if kind == "integer":
-                rhs = self.parse_term()
-                if kind_of(rhs) != "integer":
-                    raise TypeMismatchError(
-                        f"cannot {'add' if tok.text == '+' else 'subtract'} "
-                        f"{kind_of(rhs)} and integer", tok.line, tok.column)
-                node = Expr("add" if tok.text == "+" else "sub", (node, rhs), tok.line, tok.column)
-            elif kind == "dimension type" and tok.text == "+":
-                rhs = self.parse_int_additive()
-                node = Expr("shift", (node, rhs), tok.line, tok.column)
-            elif kind == "group" and tok.text == "+":
-                rhs = self.parse_term()
-                if kind_of(rhs) != "group":
-                    raise TypeMismatchError(
-                        f"cannot form a direct sum of group and {kind_of(rhs)}",
-                        tok.line, tok.column)
-                node = Expr("dsum", (node, rhs), tok.line, tok.column)
-            else:
-                raise TypeMismatchError(
-                    f"{tok.text!r} is not defined on {kind} values", tok.line, tok.column)
-
-    def parse_int_additive(self) -> Expr:
-        node = self.parse_term()
-        if kind_of(node) != "integer":
-            raise TypeMismatchError(
-                f"expected an integer expression, found {kind_of(node)}", node.line, node.column)
-        while True:
-            tok = self.peek()
-            if tok.kind != "op" or tok.text not in ("+", "-"):
-                return node
-            if not self._starts_term(self.peek(1)):
-                return node
-            self.advance()
-            rhs = self.parse_term()
-            if kind_of(rhs) != "integer":
-                raise TypeMismatchError(
-                    f"cannot {'add' if tok.text == '+' else 'subtract'} "
-                    f"{kind_of(rhs)} and integer", tok.line, tok.column)
-            node = Expr("add" if tok.text == "+" else "sub", (node, rhs), tok.line, tok.column)
-
-    def parse_term(self) -> Expr:
-        node = self.parse_primary()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            tok = self.advance()
-            if self._starts_term(self.peek()):
-                rhs = self.parse_primary()
-                for side in (node, rhs):
-                    if kind_of(side) != "integer":
-                        raise TypeMismatchError(
-                            f"'*' multiplies integers, not {kind_of(side)} values",
-                            tok.line, tok.column)
-                node = Expr("mul", (node, rhs), tok.line, tok.column)
-            else:
-                if kind_of(node) != "dimension type":
-                    raise TypeMismatchError(
-                        f"postfix '*' mirrors dimension types, not {kind_of(node)} values",
-                        tok.line, tok.column)
-                node = Expr("star", (node,), tok.line, tok.column)
-        return node
-
-    def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Expr("int", (int(tok.text),), tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            operand = self.parse_primary()
-            if kind_of(operand) != "integer":
-                raise TypeMismatchError(
-                    f"unary '-' negates integers, not {kind_of(operand)} values",
-                    tok.line, tok.column)
-            return Expr("neg", (operand,), tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expression()
-            self.expect(")")
-            return node
-        if tok.kind == "op" and tok.text == "{":
-            return self.parse_type_literal(tok)
-        if tok.kind == "name":
-            if tok.text == "inf":
-                self.advance()
-                return Expr("int", (INF,), tok.line, tok.column)
-            if tok.text == "DT":
-                self.advance()
-                return self.parse_type_literal(tok)
-            if tok.text in ("B", "C"):
-                self.advance()
-                arg = self.parse_call_arg("integer")
-                return self._checked(
-                    Expr("bn" if tok.text == "B" else "const", (arg,), tok.line, tok.column))
-            if tok.text == "dim":
-                self.advance()
-                arg = self.parse_call_arg("dimension type")
-                return Expr("dim", (arg,), tok.line, tok.column)
-            if tok.text == "sigma":
-                self.advance()
-                arg = self.parse_call_arg("group")
-                return Expr("sigma", (arg,), tok.line, tok.column)
-            if tok.text == "Q":
-                self.advance()
-                return Expr("rationals", (), tok.line, tok.column)
-            if tok.text == "Z":
-                self.advance()
-                nxt = self.peek()
-                if nxt.kind == "op" and nxt.text == "^":
-                    self.advance()
-                    rank = self.expect_number("free rank")
-                    return self._checked(Expr("free", (rank,), tok.line, tok.column))
-                if nxt.kind == "op" and nxt.text == "/":
-                    self.advance()
-                    modulus = self.expect_number("modulus")
-                    return self._checked(Expr("cyclic", (modulus,), tok.line, tok.column))
-                return Expr("free", (1,), tok.line, tok.column)
-            if tok.text in ("Zpinf", "Zloc"):
-                self.advance()
-                arg = self.parse_call_arg("integer")
-                op = "circle" if tok.text == "Zpinf" else "localized"
-                return self._checked(Expr(op, (arg,), tok.line, tok.column))
-            if tok.text == "pres":
-                self.advance()
-                return self.parse_presentation(tok)
-            if tok.text in _RESERVED:
-                raise ParseError(f"expected a value, found {tok.text!r}", tok.line, tok.column)
-            self.advance()
-            return Expr("param", (tok.text,), tok.line, tok.column)
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ParseError(f"expected a value, found {found}", tok.line, tok.column)
-
-    def parse_call_arg(self, expected_kind: str) -> Expr:
-        self.expect("(")
-        arg = self.parse_expression()
-        if kind_of(arg) != expected_kind:
-            raise TypeMismatchError(
-                f"expected a {expected_kind} argument, found {kind_of(arg)}",
-                arg.line, arg.column)
-        self.expect(")")
-        return arg
-
-    def expect_number(self, what: str) -> int:
-        tok = self.peek()
+    def number(self, what: str) -> int:
+        tok = self.advance()
         if tok.kind != "num":
-            found = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(f"expected a number for the {what}, found {found}",
+            raise ParseError(f"expected a number for the {what}, found {_found(tok)}",
                              tok.line, tok.column)
-        self.advance()
         return int(tok.text)
 
-    def parse_type_literal(self, start_tok: Token) -> Expr:
-        self.expect("{")
-        self.expect("q", "'q'")
-        self.expect("=")
-        q = self.parse_int_additive()
-        self.expect(";")
-        self.expect("*", "'*'")
-        self.expect("=")
-        default = self.parse_decorated()
-        entries: list[tuple[int, Expr]] = []
-        seen: set[int] = set()
-        while self.peek().kind == "op" and self.peek().text == ";":
+    def integer(self) -> Expr:
+        """An integer expression read greedily: a shift amount, ``q``, an
+        entry base or a relation entry."""
+        term = self.climb(self.primary(), 4)
+        _need(term, "integer", "expected an integer expression, found {}", term)
+        return self.climb(term, 3)
+
+    def climb(self, left: Expr, min_power: int) -> Expr:
+        """Extend ``left`` by every infix operator binding at least
+        ``min_power``."""
+        mixing = None  # the first of 'boxplus' and 'oplus' in this chain
+        while True:
+            tok = self.peek()
+            op = tok.text
+            power = _POWER.get(op, 0)
+            if power < min_power:
+                return left
+            if power == 3 and not _starts_term(self.peek(1)):
+                return left  # a trailing sign is a decoration, not an operator
             self.advance()
-            key_tok = self.peek()
-            prime = self.expect_number("prime key")
+            at = (tok.line, tok.column)
+            if power == 4:
+                if _starts_term(self.peek()):
+                    rhs = self.primary()
+                    need = "'*' multiplies integers, not {} values"
+                    left = Expr("mul", (_need(left, "integer", need, tok),
+                                        _need(rhs, "integer", need, tok)), *at)
+                else:
+                    need = "postfix '*' mirrors dimension types, not {} values"
+                    left = Expr("star", (_need(left, "dimension type", need, tok),), *at)
+            elif power == 3:
+                kind = _KINDS[left.op]
+                if kind == "integer":
+                    verb = "add" if op == "+" else "subtract"
+                    rhs = _need(self.climb(self.primary(), 4), "integer",
+                                f"cannot {verb} {{}} and integer", tok)
+                    left = Expr("add" if op == "+" else "sub", (left, rhs), *at)
+                elif kind == "dimension type" and op == "+":
+                    left = Expr("shift", (left, self.integer()), *at)
+                elif kind == "group" and op == "+":
+                    rhs = _need(self.climb(self.primary(), 4), "group",
+                                "cannot form a direct sum of group and {}", tok)
+                    left = Expr("dsum", (left, rhs), *at)
+                else:
+                    raise TypeMismatchError(f"{op!r} is not defined on {kind} values", *at)
+            elif power == 2:
+                if mixing is None:
+                    mixing = op
+                elif op != mixing:
+                    raise ParseError(
+                        "parentheses required when mixing 'boxplus' and 'oplus'", *at)
+                rhs = self.climb(self.primary(), 3)
+                need = f"{op!r} combines dimension types, not {{}} values"
+                left = Expr(op, (_need(left, "dimension type", need, tok),
+                                 _need(rhs, "dimension type", need, tok)), *at)
+            else:
+                # comparisons do not chain: the caller meets a second one
+                rhs = self.climb(self.primary(), 2)
+                lk, rk = _KINDS[left.op], _KINDS[rhs.op]
+                if lk != rk:
+                    raise TypeMismatchError(f"cannot compare {lk} with {rk}", *at)
+                if lk not in _COMPARABLE[op]:
+                    raise TypeMismatchError(f"{op!r} does not compare {lk} values", *at)
+                return Expr("leq" if op == "<=" else "eq", (left, rhs), *at)
+
+    def primary(self) -> Expr:
+        tok = self.advance()
+        text = tok.text
+        if tok.kind == "num":
+            return Expr("int", (int(text),), tok.line, tok.column)
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             tok.line, tok.column)
+        self.depth += 1
+        try:
+            if text == "-":
+                operand = _need(self.primary(), "integer",
+                                "unary '-' negates integers, not {} values", tok)
+                return Expr("neg", (operand,), tok.line, tok.column)
+            if text == "(":
+                node = self.climb(self.primary(), 1)
+                self.expect(")")
+                return node
+            if text == "{":
+                return self.type_literal(tok)
+            if text == "DT":
+                self.expect("{")
+                return self.type_literal(tok)
+            if text == "inf":
+                return Expr("int", (INF,), tok.line, tok.column)
+            if text in _CALLS:
+                op, kind = _CALLS[text]
+                params, start = self.params, self.pos
+                self.expect("(")
+                arg = self.climb(self.primary(), 1)
+                _need(arg, kind, f"expected a {kind} argument, found {{}}", arg)
+                self.expect(")")
+                node = Expr(op, (arg,), tok.line, tok.column)
+                return node if op in ("dim", "sigma") else self.literal(node, params, start)
+            if text == "Q":
+                return Expr("rationals", (), tok.line, tok.column)
+            if text == "Z":
+                if self.accept("^"):
+                    node = Expr("free", (self.number("free rank"),), tok.line, tok.column)
+                elif self.accept("/"):
+                    node = Expr("cyclic", (self.number("modulus"),), tok.line, tok.column)
+                else:
+                    return Expr("free", (1,), tok.line, tok.column)
+                return self.literal(node, self.params, self.pos)
+            if text == "pres":
+                return self.presentation(tok)
+            if tok.kind != "name" or text in _RESERVED:
+                raise ParseError(f"expected a value, found {_found(tok)}", tok.line, tok.column)
+            self.params += 1
+            return Expr("param", (text,), tok.line, tok.column)
+        finally:
+            self.depth -= 1
+
+    def literal(self, node: Expr, params: int, start: int) -> Expr:
+        """``node`` as parsed from token ``start`` on; if no parameter was
+        read since then, validated now and returned with its value."""
+        if self.params != params:
+            return node
+        if self.pos - start > MAX_DEPTH:
+            # a long literal may be too deep to evaluate; nodes that keep
+            # a value are not evaluated again, so each node is walked once
+            _check_depth(node, into_values=False)
+        try:
+            value = evaluate_expr(node)
+        except ValidityError as err:
+            raise _place(err, node.line, node.column) from None
+        return Expr(node.op, node.args, node.line, node.column, value)
+
+    def type_literal(self, tok: Token) -> Expr:
+        params, start = self.params, self.pos
+        self.expect("q")
+        self.expect("=")
+        q = self.integer()
+        self.expect(";")
+        self.expect("*")
+        self.expect("=")
+        default = self.decorated()
+        entries: dict[int, Expr] = {}
+        while self.accept(";"):
+            key = self.peek()
+            prime = self.number("prime key")
             try:
                 require_prime(prime, "exception key")
             except ValidityError as err:
-                raise _positioned(err, key_tok.line, key_tok.column) from None
-            if prime in seen:
-                raise ParseError(f"duplicate entry for prime {prime}",
-                                 key_tok.line, key_tok.column)
-            seen.add(prime)
+                raise _place(err, key.line, key.column) from None
+            if prime in entries:
+                raise ParseError(f"duplicate entry for prime {prime}", key.line, key.column)
             self.expect("=")
-            entries.append((prime, self.parse_decorated()))
+            entries[prime] = self.decorated()
         self.expect("}")
-        node = Expr("type", (q, default, tuple(entries)), start_tok.line, start_tok.column)
-        return self._checked(node)
+        node = Expr("type", (q, default, tuple(entries.items())), tok.line, tok.column)
+        return self.literal(node, params, start)
 
-    def parse_decorated(self) -> Expr:
-        base = self.parse_int_additive()
-        tok = self.peek()
-        decoration = Decoration.NONE
-        if tok.kind == "op" and tok.text in ("+", "-"):
+    def decorated(self) -> Expr:
+        base = self.integer()
+        decoration = _SIGNS.get(self.peek().text, Decoration.NONE)
+        if decoration is not Decoration.NONE:
             self.advance()
-            decoration = Decoration.PLUS if tok.text == "+" else Decoration.MINUS
         return Expr("decnum", (base, decoration), base.line, base.column)
 
-    def parse_presentation(self, tok: Token) -> Expr:
+    def presentation(self, tok: Token) -> Expr:
+        params, start = self.params, self.pos
         self.expect("[")
         rows: list[tuple[Expr, ...]] = []
-        if not (self.peek().kind == "op" and self.peek().text == "]"):
+        if not self.accept("]"):
             while True:
                 self.expect("[")
                 row: list[Expr] = []
-                if not (self.peek().kind == "op" and self.peek().text == "]"):
-                    while True:
-                        entry = self.parse_int_additive()
-                        row.append(entry)
-                        if self.peek().text == ",":
-                            self.advance()
-                            continue
-                        break
+                if self.peek().text != "]":
+                    row.append(self.integer())
+                    while self.accept(","):
+                        row.append(self.integer())
                 self.expect("]")
                 rows.append(tuple(row))
-                if self.peek().text == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect("]")
-        generators = len(rows[0]) if rows else 0
-        node = Expr("pres", (tuple(rows), generators), tok.line, tok.column)
-        return self._checked(node)
-
-    def _checked(self, node: Expr) -> Expr:
-        # a fully concrete literal is validated here so that bad values
-        # are parse-time diagnostics with a position
-        if free_parameters(node):
-            return node
-        try:
-            evaluate_expr(node)
-        except ValidityError as err:
-            raise _positioned(err, node.line, node.column) from None
-        return node
+                if not self.accept(","):
+                    break
+            self.expect("]")
+        node = Expr("pres", (tuple(rows), len(rows[0]) if rows else 0), tok.line, tok.column)
+        return self.literal(node, params, start)
 
 
 def parse(text: str, start_line: int = 1) -> Expr:
@@ -515,11 +458,14 @@ def parse(text: str, start_line: int = 1) -> Expr:
         ...
     dimcalc.decorated.ValidityError: default entry 5 is undecorated but differs from the value 2 at Q (line 1, column 1)
     """
-    parser = _Parser(_tokenize(text, start_line))
-    node = parser.parse_expression()
+    tokens = _tokenize(text, start_line)
+    parser = _Parser(tokens)
+    node = parser.climb(parser.primary(), 1)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    if len(tokens) > MAX_DEPTH:  # a tree has at most one node per token
+        _check_depth(node)
     return node
 
 
@@ -535,83 +481,98 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
     """Evaluate a parse tree to a value: integer (possibly inf),
     dimension type, group, sigma-set, or boolean.
 
+    An invalid or undefined value raises its error placed at the
+    innermost node that raised it.
+
     >>> print(render(evaluate_expr(parse("sigma(Z^1)")), "pretty"))
     {Z_(p): all p}
     >>> evaluate_expr(parse("dim(B(4) boxplus B(4))"))
     7
     >>> evaluate_expr(parse("n + 1"), {"n": 5})
     6
+    >>> evaluate_expr(parse("5 - inf"))
+    Traceback (most recent call last):
+        ...
+    dimcalc.exprs.EvaluationError: cannot subtract inf (line 1, column 3)
     """
-    ev = lambda e: evaluate_expr(e, bindings)
-    match expr.op:
-        case "int":
-            return expr.args[0]
-        case "param":
-            name = expr.args[0]
-            if bindings is None or name not in bindings:
-                raise EvaluationError(f"unbound parameter {name!r}")
-            return bindings[name]
-        case "add":
-            return ev(expr.args[0]) + ev(expr.args[1])
-        case "sub":
-            lhs, rhs = ev(expr.args[0]), ev(expr.args[1])
-            if rhs is INF:
-                raise EvaluationError("cannot subtract inf")
-            return lhs - rhs
-        case "mul":
-            lhs, rhs = ev(expr.args[0]), ev(expr.args[1])
-            if lhs is INF or rhs is INF:
-                raise EvaluationError("cannot multiply by inf")
-            return lhs * rhs
-        case "neg":
-            value = ev(expr.args[0])
-            if value is INF:
-                raise EvaluationError("cannot negate inf")
-            return -value
-        case "decnum":
-            return DecoratedNumber(ev(expr.args[0]), expr.args[1])
-        case "type":
-            q, default, entries = expr.args
-            return DimensionType(ev(q), ev(default), {p: ev(e) for p, e in entries})
-        case "bn":
-            return boltyanskii_type(ev(expr.args[0]))
-        case "const":
-            return constant(ev(expr.args[0]))
-        case "boxplus":
-            return ev(expr.args[0]).boxplus(ev(expr.args[1]))
-        case "oplus":
-            return ev(expr.args[0]).oplus(ev(expr.args[1]))
-        case "star":
-            return ev(expr.args[0]).star()
-        case "shift":
-            amount = ev(expr.args[1])
-            if amount is INF:
-                raise EvaluationError("shift amount must be a finite integer")
-            return ev(expr.args[0]) + amount
-        case "dim":
-            return ev(expr.args[0]).dim()
-        case "sigma":
-            return bockstein_basis(ev(expr.args[0]))
-        case "rationals":
-            return Rationals()
-        case "free":
-            return Free(expr.args[0])
-        case "cyclic":
-            return Cyclic(expr.args[0])
-        case "circle":
-            return PadicCircle(ev(expr.args[0]))
-        case "localized":
-            return LocalizedIntegers(ev(expr.args[0]))
-        case "pres":
-            rows, generators = expr.args
-            relations = tuple(tuple(ev(entry) for entry in row) for row in rows)
-            return Presented(generators, relations)
-        case "dsum":
-            return ev(expr.args[0]) + ev(expr.args[1])
-        case "leq" | "eq":
-            return apply_comparison(expr.op, ev(expr.args[0]), ev(expr.args[1]))
-        case _:
-            raise ValueError(f"unknown node {expr.op!r}")
+    if expr.value is not None:
+        return expr.value
+    op, args, ev = expr.op, expr.args, evaluate_expr
+    try:
+        match op:
+            case "int":
+                return args[0]
+            case "param":
+                if bindings is None or args[0] not in bindings:
+                    raise EvaluationError(f"unbound parameter {args[0]!r}")
+                return bindings[args[0]]
+            case "add":
+                return ev(args[0], bindings) + ev(args[1], bindings)
+            case "sub":
+                lhs, rhs = ev(args[0], bindings), ev(args[1], bindings)
+                if rhs is INF:
+                    raise EvaluationError("cannot subtract inf")
+                return lhs - rhs
+            case "mul":
+                lhs, rhs = ev(args[0], bindings), ev(args[1], bindings)
+                if lhs is INF or rhs is INF:
+                    raise EvaluationError("cannot multiply by inf")
+                return lhs * rhs
+            case "neg":
+                value = ev(args[0], bindings)
+                if value is INF:
+                    raise EvaluationError("cannot negate inf")
+                return -value
+            case "type":
+                # entries are built here, so their errors are the literal's
+                q, default, entries = args
+                return DimensionType(
+                    ev(q, bindings),
+                    DecoratedNumber(ev(default.args[0], bindings), default.args[1]),
+                    {p: DecoratedNumber(ev(e.args[0], bindings), e.args[1]) for p, e in entries})
+            case "bn":
+                return boltyanskii_type(ev(args[0], bindings))
+            case "const":
+                return constant(ev(args[0], bindings))
+            case "boxplus":
+                return ev(args[0], bindings).boxplus(ev(args[1], bindings))
+            case "oplus":
+                return ev(args[0], bindings).oplus(ev(args[1], bindings))
+            case "star":
+                return ev(args[0], bindings).star()
+            case "shift":
+                amount = ev(args[1], bindings)
+                if amount is INF:
+                    raise EvaluationError("shift amount must be a finite integer")
+                return ev(args[0], bindings) + amount
+            case "dim":
+                return ev(args[0], bindings).dim()
+            case "sigma":
+                return bockstein_basis(ev(args[0], bindings))
+            case "rationals":
+                return Rationals()
+            case "free":
+                return Free(args[0])
+            case "cyclic":
+                return Cyclic(args[0])
+            case "circle":
+                return PadicCircle(ev(args[0], bindings))
+            case "localized":
+                return LocalizedIntegers(ev(args[0], bindings))
+            case "pres":
+                rows, generators = args
+                return Presented(generators, tuple(
+                    tuple(ev(e, bindings) for e in row) for row in rows))
+            case "dsum":
+                return ev(args[0], bindings) + ev(args[1], bindings)
+            case "leq" | "eq":
+                return apply_comparison(op, ev(args[0], bindings), ev(args[1], bindings))
+            case _:
+                raise ValueError(f"unknown node {op!r}")
+    except (ValidityError, EvaluationError) as err:
+        if hasattr(err, "line"):
+            raise
+        raise _place(err, expr.line, expr.column) from None
 
 
 def render(value, format: str = "pretty") -> str:
@@ -629,7 +590,7 @@ def render(value, format: str = "pretty") -> str:
             return "true" if value else "false"
         return str(value)
     if format == "structured":
-        return json.dumps(_tree(value), sort_keys=True)
+        return json.dumps(to_json(value), sort_keys=True)
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -637,7 +598,8 @@ def _extnat_json(value):
     return "inf" if value is INF else value
 
 
-def _tree(value):
+def to_json(value):
+    """The JSON tree of a value, as structured output and reports show it."""
     if isinstance(value, bool):
         return {"kind": "boolean", "value": value}
     if isinstance(value, int) or value is INF:
@@ -652,8 +614,8 @@ def _tree(value):
         return {
             "kind": "dimension-type",
             "q": _extnat_json(value.rational),
-            "default": _tree(value.default),
-            "exceptions": {str(p): _tree(e) for p, e in value.exceptions},
+            "default": to_json(value.default),
+            "exceptions": {str(p): to_json(e) for p, e in value.exceptions},
         }
     if isinstance(value, SigmaSet):
         return {

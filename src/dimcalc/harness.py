@@ -34,6 +34,7 @@ from .exprs import (
     free_parameters,
     parse,
     render,
+    to_json,
 )
 
 
@@ -104,7 +105,15 @@ class Scenario:
     @classmethod
     def from_path(cls, path: str | Path) -> "Scenario":
         path = Path(path)
-        return cls.from_text(path.stem, path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            # place the first bad byte; "." closes the last line's column
+            before = (data[: err.start].decode("utf-8") + ".").splitlines()
+            raise ParseError(f"scenario file is not UTF-8: {err.reason}",
+                             len(before), len(before[-1])) from None
+        return cls.from_text(path.stem, text)
 
 
 @dataclass(frozen=True)
@@ -144,8 +153,6 @@ class ScenarioReport:
         return "\n".join(lines)
 
     def tree(self) -> dict:
-        from .exprs import _tree
-
         return {
             "kind": "scenario-report",
             "scenario": self.scenario.name,
@@ -156,8 +163,8 @@ class ScenarioReport:
                     "text": r.claim.text,
                     "op": r.op,
                     "passed": r.passed,
-                    "lhs": _tree(r.lhs),
-                    "rhs": _tree(r.rhs),
+                    "lhs": to_json(r.lhs),
+                    "rhs": to_json(r.rhs),
                 }
                 for r in self.results
             ],
@@ -182,9 +189,11 @@ def run_scenario(scenario: Scenario, bindings: Mapping[str, int] | None = None) 
         try:
             lhs = evaluate_expr(lhs_expr, bindings)
             rhs = evaluate_expr(rhs_expr, bindings)
-            passed = apply_comparison(claim.expr.op, lhs, rhs)
         except (ValidityError, EvaluationError) as err:
-            raise EvaluationError(f"claim '{claim.text}': {err}") from err
+            wrapped = EvaluationError(f"claim '{claim.text}': {err}")
+            wrapped.line, wrapped.column = err.line, err.column
+            raise wrapped from err
+        passed = apply_comparison(claim.expr.op, lhs, rhs)
         results.append(ClaimResult(claim, passed, lhs, rhs, claim.expr.op))
     return ScenarioReport(
         scenario, tuple(sorted(bindings.items())), tuple(results))

@@ -109,6 +109,16 @@ class TestVerify:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
+    def test_undecodable_file_exits_two(self, tmp_path):
+        path = tmp_path / "latin1.claims"
+        path.write_bytes("C(1) == C(1)\n# caf\u00e9\n".encode("latin-1"))
+        proc = run_cli("verify", "--scenario", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: scenario file is not UTF-8")
+        assert proc.stderr.endswith("(line 2, column 6)\n")
+        assert proc.stderr.count("\n") == 1
+
     def test_output_bytes_deterministic(self, tmp_path):
         args = ("verify", "--scenario", "section4", "--n", "6..9",
                 "--format", "structured")

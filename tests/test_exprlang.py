@@ -1,6 +1,7 @@
 """Parsing, evaluation, kinds, diagnostics, and rendering."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from dimcalc import (
     EvaluationError,
     Free,
     LocalizedIntegers,
+    NotRepresentableError,
     PadicCircle,
     ParseError,
     Presented,
@@ -31,6 +33,7 @@ from dimcalc import (
     parse,
     render,
 )
+from dimcalc.cli import main
 from support import dimension_types
 
 MINUS, PLUS = Decoration.MINUS, Decoration.PLUS
@@ -178,6 +181,7 @@ class TestDiagnostics:
         "5 @ 3",
         "B(4) == C(4) == C(4)",
         "DT{q=1; *=1respond}",
+        "²",
     ]
 
     @pytest.mark.parametrize("text", BAD_INPUTS)
@@ -242,6 +246,70 @@ class TestDiagnostics:
     def test_negative_shift_rejected_at_evaluation(self):
         with pytest.raises(ValidityError):
             ev("C(1) + n", n=-2)
+
+
+class TestPositionedEvaluation:
+    """Errors raised while evaluating carry the innermost node's place."""
+
+    def place(self, text, error=ValidityError, **bindings):
+        with pytest.raises(error) as info:
+            ev(text, **bindings)
+        err = info.value
+        assert str(err).endswith(f"(line {err.line}, column {err.column})")
+        return err.line, err.column
+
+    def test_inf_guard(self):
+        assert self.place("5 - inf", EvaluationError) == (1, 3)
+        assert self.place("C(1) boxplus (C(1) + inf)", EvaluationError) == (1, 20)
+
+    def test_oplus_on_unmirrorable_entry(self):
+        text = "{q=1; *=0+} oplus C(1)"
+        assert self.place(text, NotRepresentableError) == (1, 13)
+
+    def test_entry_errors_are_the_literals(self):
+        assert self.place("C(1) boxplus {q=n; *=n-}", n=0) == (1, 14)
+        with pytest.raises(ValidityError) as info:
+            parse("C(1) boxplus {q=0; *=0-}")
+        assert (info.value.line, info.value.column) == (1, 14)
+
+    def test_unbound_parameter(self):
+        assert self.place("2 * (n + 1)", EvaluationError) == (1, 6)
+
+    def test_literal_keeps_its_value(self):
+        expr = parse("DT{q=2; *=3-; 5=1+}")
+        assert expr.value == evaluate_expr(expr)
+        assert parse("DT{q=n; *=3-}").value is None
+
+
+class TestInputCaps:
+    """Oversized input ends in one positioned error line and exit 2."""
+
+    CASES = {
+        "non-ascii digit": "B(²)",
+        "non-ascii name": "né + 1",
+        "long number": "1" * 5000,
+        "deep parentheses": "(" * 3000 + "1" + ")" * 3000,
+        "deep unary minus": "0 + " + "-" * 3000 + "1",
+        "long chain": "1+" * 500 + "1",
+        "long chain in a literal": "B(" + "1+" * 500 + "1)",
+        "long shift": "C(0)" + " + 1" * 500,
+        "nested literals": "{q=dim(" * 150 + "C(1)" + ");*=1}" * 150,
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exit_two_with_one_positioned_line(self, name, capsys):
+        assert main(["eval", self.CASES[name]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert re.search(r"\(line 1, column [0-9]+\)$", err.strip())
+
+    def test_caps_leave_room_below_them(self):
+        assert ev("(" * 150 + "1" + ")" * 150) == 1
+        assert ev("-" * 199 + "1") == -1
+        assert ev("1+" * 199 + "1") == 200
+        assert ev("B(" + "1+" * 190 + "1)") == boltyanskii_type(191)
+        assert ev("1" * 1000 + " - 1") == int("1" * 999 + "0")
 
 
 class TestKinds:

@@ -149,6 +149,14 @@ class TestBuiltinScenarios:
         with pytest.raises(EvaluationError, match=r"claim '"):
             run_scenario(scenario, {"n": 5})
 
+    def test_claim_errors_carry_the_file_line(self):
+        scenario = Scenario.from_text("shifts", "C(1) == C(1)\nC(1) + n == C(0)\n")
+        with pytest.raises(EvaluationError) as info:
+            run_scenario(scenario, {"n": -1})
+        assert (info.value.line, info.value.column) == (2, 6)
+        assert str(info.value).startswith("claim 'C(1) + n == C(0)': shift must be")
+        assert str(info.value).endswith("(line 2, column 6)")
+
     def test_report_rendering_deterministic(self):
         scenario = builtin_scenario("section4")
         first = run_scenario(scenario, {"n": 7})

@@ -15,7 +15,6 @@ Everything here is immutable and safe to share.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Union
@@ -131,7 +130,7 @@ class Decoration(IntEnum):
     @property
     def flipped(self) -> "Decoration":
         """Mirror image: plus and minus exchanged, none fixed."""
-        return Decoration(-self.value)
+        return Decoration(-self)
 
     def combine(self, other: "Decoration") -> "Decoration":
         """Sign product: none is neutral, like signs persist, mixed give minus."""
@@ -139,7 +138,7 @@ class Decoration(IntEnum):
             return other
         if other is Decoration.NONE:
             return self
-        return Decoration(min(self.value, other.value))
+        return min(self, other)
 
 
 def _dual_combine(a: Decoration, b: Decoration) -> Decoration:
@@ -147,16 +146,18 @@ def _dual_combine(a: Decoration, b: Decoration) -> Decoration:
     return a.flipped.combine(b.flipped).flipped
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DecoratedNumber:
     """A base value with a singularity mark: 3-, 3, 3+ or inf+.
 
-    The order interleaves marks between consecutive bases,
-    3- < 3 < 3+ < 4-.  A minus mark on base 0 or inf is rejected:
-    0- would stand for the value -1, and inf- duplicates inf+.
+    The order is that of the fields (base, decoration), which interleaves
+    marks between bases: 3- < 3 < 3+ < 4- < ... < inf < inf+.  A minus
+    mark on base 0 or inf is rejected: 0- would stand for the value -1,
+    and inf- duplicates inf+.
 
     >>> DecoratedNumber(3, Decoration.MINUS) < DecoratedNumber(3, Decoration.PLUS)
+    True
+    >>> DecoratedNumber(INF) < DecoratedNumber(INF, Decoration.PLUS)
     True
     >>> print(DecoratedNumber(INF, Decoration.PLUS))
     inf+
@@ -171,16 +172,6 @@ class DecoratedNumber:
             raise ValidityError(f"decoration must be a Decoration, got {self.decoration!r}")
         if self.decoration is Decoration.MINUS and (self.base == 0 or self.base is INF):
             raise ValidityError(f"{self.base}- is not a representable decorated number")
-
-    def _key(self):
-        if self.base is INF:
-            return (1, 0, self.decoration.value)
-        return (0, self.base, self.decoration.value)
-
-    def __lt__(self, other):
-        if not isinstance(other, DecoratedNumber):
-            return NotImplemented
-        return self._key() < other._key()
 
     def __str__(self) -> str:
         return f"{self.base}{self.decoration.symbol}"
@@ -314,6 +305,12 @@ class DimensionType:
     def exception_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.exceptions)
 
+    def _paired(self, other: "DimensionType"):
+        # (p, entry here, entry there) at each exception prime of either side
+        mine, theirs = dict(self.exceptions), dict(other.exceptions)
+        for p in sorted(mine.keys() | theirs.keys()):
+            yield p, mine.get(p, self.default), theirs.get(p, other.default)
+
     def __eq__(self, other):
         if not isinstance(other, DimensionType):
             return NotImplemented
@@ -375,27 +372,13 @@ class DimensionType:
     def __le__(self, other):
         if not isinstance(other, DimensionType):
             return NotImplemented
-        if not self.rational <= other.rational:
-            return False
-        if not self.default <= other.default:
-            return False
-        primes = set(self.exception_primes()) | set(other.exception_primes())
-        return all(self.entry(p) <= other.entry(p) for p in primes)
-
-    def __ge__(self, other):
-        if not isinstance(other, DimensionType):
-            return NotImplemented
-        return other.__le__(self)
+        return (self.rational <= other.rational and self.default <= other.default
+                and all(a <= b for _, a, b in self._paired(other)))
 
     def __lt__(self, other):
         if not isinstance(other, DimensionType):
             return NotImplemented
         return self != other and self.__le__(other)
-
-    def __gt__(self, other):
-        if not isinstance(other, DimensionType):
-            return NotImplemented
-        return self != other and other.__le__(self)
 
     # -- operations ----------------------------------------------------
 
@@ -410,11 +393,10 @@ class DimensionType:
                 sign = Decoration.PLUS  # inf- and inf+ are the same pattern
             return DecoratedNumber(base, sign)
 
-        primes = set(self.exception_primes()) | set(other.exception_primes())
         return DimensionType(
             self.rational + other.rational,
             entry_sum(self.default, other.default),
-            {p: entry_sum(self.entry(p), other.entry(p)) for p in sorted(primes)},
+            [(p, entry_sum(a, b)) for p, a, b in self._paired(other)],
         )
 
     def boxplus(self, other: "DimensionType") -> "DimensionType":

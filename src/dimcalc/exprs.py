@@ -170,7 +170,7 @@ def _need(node: Expr, kind: str, message: str, at) -> Expr:
     return node
 
 
-def _walk(root: Expr, into_values: bool = True):
+def walk(root: Expr, into_values: bool = True):
     """Every node of a tree with its depth (the root has depth 1), without
     recursion; optionally not below the nodes that keep a value."""
     todo = [(root, 1)]
@@ -189,11 +189,11 @@ def _walk(root: Expr, into_values: bool = True):
 
 def free_parameters(expr: Expr) -> frozenset[str]:
     """Names of the unbound integer parameters in an expression."""
-    return frozenset(n.args[0] for n, _ in _walk(expr, False) if n.op == "param")
+    return frozenset(n.args[0] for n, _ in walk(expr, False) if n.op == "param")
 
 
 def _check_depth(root: Expr, into_values: bool = True) -> None:
-    for node, depth in _walk(root, into_values):
+    for node, depth in walk(root, into_values):
         if depth > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
                              node.line, node.column)

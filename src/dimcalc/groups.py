@@ -55,8 +55,9 @@ class PrimePredicate:
 
     def _pointwise(self, other: "PrimePredicate", op) -> "PrimePredicate":
         default = op(self.default, other.default)
-        primes = self.exceptions | other.exceptions
-        flipped = frozenset(p for p in primes if op(self(p), other(p)) != default)
+        mine, theirs = self.exceptions, other.exceptions
+        flipped = frozenset(p for p in mine | theirs
+                            if op(self.default != (p in mine), other.default != (p in theirs)) != default)
         return PrimePredicate(default, flipped)
 
     def __and__(self, other: "PrimePredicate") -> "PrimePredicate":

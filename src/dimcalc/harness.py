@@ -35,6 +35,7 @@ from .exprs import (
     parse,
     render,
     to_json,
+    walk,
 )
 
 
@@ -181,8 +182,13 @@ def run_scenario(scenario: Scenario, bindings: Mapping[str, int] | None = None) 
     bindings = dict(bindings or {})
     missing = [p for p in scenario.parameters if p not in bindings]
     if missing:
-        raise EvaluationError(
-            f"scenario {scenario.name!r} needs bindings for: " + ", ".join(missing))
+        # placed at the first use, in text order, of a missing parameter
+        at = min((n.line, n.column) for claim in scenario.claims for n, _ in walk(claim.expr, False)
+                 if n.op == "param" and n.args[0] in missing)
+        err = EvaluationError(f"scenario {scenario.name!r} needs bindings for: "
+                              + ", ".join(missing) + " (line {}, column {})".format(*at))
+        err.line, err.column = at
+        raise err
     results = []
     for claim in scenario.claims:
         lhs_expr, rhs_expr = claim.expr.args

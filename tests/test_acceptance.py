@@ -7,6 +7,7 @@ they happen; without -s pytest shows them in the captured-output block.
 Budgets are wall-clock seconds and are asserted, not advisory.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -143,6 +144,8 @@ def test_criterion_5_algebraic_laws():
             "monotone-boxplus", "monotone-oplus",
         }
         assert all(law.checked >= 10_000 for law in report.laws)
+        digest = hashlib.sha256(report.render("structured").encode()).hexdigest()
+        assert digest == "eb43c02ffd2a9413e8c68789f318fb193c3f861688cda76acd9ee461ef49464d"
 
 
 def test_criterion_6_snf_oracle():

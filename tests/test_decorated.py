@@ -1,5 +1,8 @@
 """Core arithmetic: decorated order, evaluation, operations, predicates."""
 
+import operator
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +71,28 @@ class TestDecoratedNumber:
         assert DecoratedNumber(3, PLUS) < DecoratedNumber(4, MINUS)
         assert DecoratedNumber(5) == DecoratedNumber(5)
         assert DecoratedNumber(5) <= DecoratedNumber(5)
+
+    # every valid decorated number with base 0..4, then inf and inf+, in order
+    LADDER = [DecoratedNumber(base, mark) for base in range(5) for mark in (MINUS, NONE, PLUS)
+              if (base, mark) != (0, MINUS)] + [DecoratedNumber(INF), DecoratedNumber(INF, PLUS)]
+
+    def test_ladder_exhaustive(self):
+        for i, a in enumerate(self.LADDER):
+            for j, b in enumerate(self.LADDER):
+                assert (a < b) == (i < j), (a, b)
+                assert (a <= b) == (i <= j), (a, b)
+                assert (a > b) == (i > j), (a, b)
+                assert (a >= b) == (i >= j), (a, b)
+                assert (a == b) == (i == j), (a, b)
+
+    def test_ladder_sorted_and_max(self):
+        shuffled = list(self.LADDER)
+        random.Random(0).shuffle(shuffled)
+        assert sorted(shuffled) == self.LADDER
+        assert sorted(reversed(self.LADDER)) == self.LADDER
+        assert max(shuffled) == DecoratedNumber(INF, PLUS)
+        assert max(d for d in shuffled if d.base is not INF) == DecoratedNumber(4, PLUS)
+        assert min(shuffled) == DecoratedNumber(0)
 
     def test_rejects_unrepresentable(self):
         with pytest.raises(ValidityError):
@@ -213,6 +238,18 @@ class TestOrder:
     def test_agrees_with_pointwise_oracle(self, d1, d2):
         assert (d1 <= d2) == pointwise_leq(d1, d2)
         assert (d2 <= d1) == pointwise_leq(d2, d1)
+
+    @given(dimension_types(allow_inf=True), dimension_types(allow_inf=True))
+    def test_reflected_comparisons(self, d1, d2):
+        assert (d1 >= d2) == (d2 <= d1)
+        assert (d1 > d2) == (d2 < d1)
+
+    def test_no_order_against_integers(self):
+        for compare in (operator.ge, operator.gt, operator.le, operator.lt):
+            with pytest.raises(TypeError):
+                compare(D1, 3)
+            with pytest.raises(TypeError):
+                compare(3, D1)
 
     @given(dimension_types(), dimension_types())
     def test_antisymmetry(self, d1, d2):

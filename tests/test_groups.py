@@ -1,5 +1,6 @@
 """Bockstein bases, structural profiles, and Smith normal form."""
 
+import itertools
 import random
 
 import pytest
@@ -44,6 +45,26 @@ class TestPrimePredicate:
             assert (a & b)(p) == (a(p) and b(p))
             assert (a | b)(p) == (a(p) or b(p))
             assert (~a)(p) == (not a(p))
+
+    SUBSETS = [frozenset(c) for k in range(5) for c in itertools.combinations((2, 3, 5, 7), k)]
+
+    def test_boolean_algebra_exhaustive(self):
+        for default_a, default_b in itertools.product((False, True), repeat=2):
+            for exc_a, exc_b in itertools.product(self.SUBSETS, repeat=2):
+                a, b = PrimePredicate(default_a, exc_a), PrimePredicate(default_b, exc_b)
+                both, either, not_a = a & b, a | b, ~a
+                for p in (*(exc_a | exc_b), 11):
+                    assert both(p) == (a(p) and b(p))
+                    assert either(p) == (a(p) or b(p))
+                    assert not_a(p) == (not a(p))
+                # canonical form: predicates equal at every prime compare equal
+                for pred in (both, either, not_a):
+                    rebuilt = PrimePredicate(
+                        pred(11), frozenset(p for p in (2, 3, 5, 7) if pred(p) != pred(11)))
+                    assert pred == rebuilt
+                assert both == ~(~a | ~b)
+                assert either == ~(~a & ~b)
+                assert ~not_a == a
 
     def test_canonical_exceptions(self):
         a = PrimePredicate(False, frozenset({2}))

@@ -1,5 +1,6 @@
 """Verification harness: bounds, scenarios, the cube sweep, and the law checker."""
 
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from dimcalc import (
     uniform_types,
     union_bound,
 )
+from dimcalc.cli import main
 from dimcalc.harness import LawReport, LawResult, SweepReport
 
 D1 = evaluate_expr(parse("DT{q=2; *=3-}"))
@@ -180,6 +182,51 @@ class TestBuiltinScenarios:
         assert len(tree["claims"]) == 3
         assert all(claim["passed"] for claim in tree["claims"])
         assert tree["claims"][0]["op"] == "eq"
+
+
+class TestMissingBindings:
+    """The "needs bindings" error is placed at the first use, in text
+    order, of a parameter left unbound."""
+
+    def error_line(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        return err
+
+    def test_builtin_scenario(self, capsys):
+        err = self.error_line(["verify", "--scenario", "section4"], capsys)
+        assert err == "error: scenario 'section4' needs bindings for: n (line 2, column 27)\n"
+
+    def test_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "late.claims"
+        path.write_text("# k is read on line 3 only\n"
+                        "C(n) <= C(n + 1)\n"
+                        "C(n) + k <= C(n + k)\n", encoding="utf-8")
+        err = self.error_line(["verify", "--scenario", str(path), "--n", "4"], capsys)
+        assert err == "error: scenario 'late' needs bindings for: k (line 3, column 8)\n"
+        err = self.error_line(["verify", "--scenario", str(path)], capsys)
+        assert err == "error: scenario 'late' needs bindings for: k, n (line 2, column 3)\n"
+
+    def test_error_carries_the_place(self):
+        scenario = Scenario.from_text("late", "C(1) == C(1)\nC(1) + m == C(n)\n")
+        with pytest.raises(EvaluationError) as info:
+            run_scenario(scenario, {"n": 1})
+        assert (info.value.line, info.value.column) == (2, 8)
+
+
+def test_golden_outputs(capsys):
+    """Byte-identical CLI output: sha256 of stdout, final newline included."""
+    golden = {
+        ("verify", "--scenario", "section4", "--n", "6..20", "--format", "structured"):
+            "45f5fb71c101ff59f1733127bd53b41455699f32218b352d2e635026837acc71",
+        ("sweep", "--cube", "--n", "6", "--bound", "8", "--format", "structured"):
+            "944e58327fa7ef45aeed0c83c32230c8afd79ec7ef04488ce4b836288ae539cf",
+    }
+    for argv, digest in golden.items():
+        assert main(list(argv)) == 0
+        out, _ = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 class TestUniformTypes:

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .decorated import (
+    INF,
     Decoration,
     DecoratedNumber,
     DimensionType,
@@ -351,6 +352,7 @@ def random_dimension_type(
     star_safe: bool = False,
 ) -> DimensionType:
     """One uniformly scattered valid type with exceptions on the given primes."""
+    _check_max_base(max_base)
     q = rng.randint(0, max_base)
     default = _random_entry(rng, q, max_base, star_safe)
     exceptions = {
@@ -364,23 +366,42 @@ def random_dimension_type(
 def random_type_above(
     rng: random.Random, d: DimensionType, max_base: int = 12, star_safe: bool = False
 ) -> DimensionType:
-    """A random valid type dominating d, for monotonicity checks."""
-    q2 = rng.randint(_as_int(d.rational), max_base + 1)
+    """A random valid type dominating d, for monotonicity checks.
+
+    The value at Q is drawn uniformly from d's value up to max_base + 1.
+    Each entry e of d is then replaced by a draw that is uniform over the
+    valid entries >= e with base at most max_base + 1, where the bare
+    base appears only at the new value at Q (and 0+ not at all when
+    star_safe).  Each draw is the one ``rng.choice`` would make from the
+    sorted list of those entries, and it leaves the generator in the same
+    state, but only the drawn entry is built.
+    """
+    _check_max_base(max_base)
+    top = max_base + 1
+    for value in (d.rational, d.default.base, *(e.base for _, e in d.exceptions)):
+        if value is INF or value > top:
+            raise ValidityError(
+                f"random generation needs a finite type with values at most {top}, got {d}")
+    q2 = rng.randint(d.rational, top)
 
     def entry_above(e: DecoratedNumber) -> DecoratedNumber:
-        candidates = []
-        for base in range(max_base + 2):
-            for dec in (Decoration.MINUS, Decoration.NONE, Decoration.PLUS):
-                if dec is Decoration.MINUS and base == 0:
-                    continue
-                if dec is Decoration.NONE and base != q2:
-                    continue
-                if star_safe and dec is Decoration.PLUS and base == 0:
-                    continue
-                candidate = DecoratedNumber(base, dec)
-                if e <= candidate:
-                    candidates.append(candidate)
-        return rng.choice(candidates)
+        # in order: the marks at e.base from e's up, then at each higher
+        # base its minus and plus marks, with the bare q2 between them
+        first = [m for m in Decoration if m >= e.decoration
+                 and (m is not Decoration.NONE or e.base == q2)
+                 and not (star_safe and m is Decoration.PLUS and e.base == 0)]
+        k = rng.randrange(len(first) + 2 * (top - e.base) + (e.base < q2))
+        if k < len(first):
+            return DecoratedNumber(e.base, first[k])
+        k -= len(first)
+        if e.base < q2:
+            bare = 2 * (q2 - e.base) - 1
+            if k == bare:
+                return DecoratedNumber(q2)
+            if k > bare:
+                k -= 1
+        return DecoratedNumber(
+            e.base + 1 + k // 2, Decoration.PLUS if k % 2 else Decoration.MINUS)
 
     return DimensionType(
         q2,
@@ -389,10 +410,9 @@ def random_type_above(
     )
 
 
-def _as_int(value) -> int:
-    if isinstance(value, int):
-        return value
-    raise ValidityError("random generation needs finite types")
+def _check_max_base(max_base: int) -> None:
+    if isinstance(max_base, bool) or not isinstance(max_base, int) or max_base < 1:
+        raise ValidityError(f"random generation needs an integer max_base >= 1, got {max_base!r}")
 
 
 def _audit_canonical(d: DimensionType) -> bool:
@@ -471,6 +491,8 @@ def check_algebra_laws(seed: int = 0, samples: int = 10000, max_base: int = 12) 
     >>> check_algebra_laws(seed=1, samples=200).passed
     True
     """
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValidityError(f"the law suite needs an integer samples >= 1, got {samples!r}")
 
     def law(name, generate, check) -> LawResult:
         # string seeds hash stably across processes, unlike tuples
@@ -539,9 +561,8 @@ def check_algebra_laws(seed: int = 0, samples: int = 10000, max_base: int = 12) 
 def _below_with_equal_bases(low: DimensionType, high: DimensionType) -> bool:
     if not low <= high:
         return False
-    if low.rational != high.rational:
+    if low.rational != high.rational or low.default.base != high.default.base:
         return False
-    primes = set(low.exception_primes()) | set(high.exception_primes())
-    return all(
-        low.entry(p).base == high.entry(p).base for p in [*primes, 2]
-    ) and low.default.base == high.default.base
+    lows, highs = dict(low.exceptions), dict(high.exceptions)
+    return all(lows.get(p, low.default).base == highs.get(p, high.default).base
+               for p in lows.keys() | highs.keys())

@@ -114,6 +114,35 @@ def dimension_types(draw, max_base=12, star_safe=False, allow_inf=False):
     return DimensionType(q, default, exceptions)
 
 
+def entries_above(entry, q, max_base, star_safe):
+    """Every valid entry >= entry with base at most max_base + 1, for a
+    type whose value at Q is q, sorted; built by enumeration."""
+    candidates = []
+    for base in range(max_base + 2):
+        for dec in (Decoration.MINUS, Decoration.NONE, Decoration.PLUS):
+            if dec is Decoration.MINUS and base == 0:
+                continue
+            if dec is Decoration.NONE and base != q:
+                continue
+            if star_safe and dec is Decoration.PLUS and base == 0:
+                continue
+            candidate = DecoratedNumber(base, dec)
+            if entry <= candidate:
+                candidates.append(candidate)
+    return candidates
+
+
+def type_above_by_enumeration(rng, d, max_base, star_safe):
+    """Reference for ``random_type_above``: the same draws, each one a
+    ``rng.choice`` from :func:`entries_above`."""
+    q2 = rng.randint(d.rational, max_base + 1)
+
+    def above(e):
+        return rng.choice(entries_above(e, q2, max_base, star_safe))
+
+    return DimensionType(q2, above(d.default), {p: above(e) for p, e in d.exceptions})
+
+
 @st.composite
 def dominating_pairs(draw, max_base=12, star_safe=False):
     """(low, high) with low <= high entrywise, for monotonicity laws."""
@@ -121,19 +150,7 @@ def dominating_pairs(draw, max_base=12, star_safe=False):
     high_q = draw(st.integers(low.rational, max_base + 1))
 
     def above(entry):
-        candidates = []
-        for base in range(max_base + 2):
-            for dec in (Decoration.MINUS, Decoration.NONE, Decoration.PLUS):
-                if dec is Decoration.MINUS and base == 0:
-                    continue
-                if dec is Decoration.NONE and base != high_q:
-                    continue
-                if star_safe and dec is Decoration.PLUS and base == 0:
-                    continue
-                candidate = DecoratedNumber(base, dec)
-                if entry <= candidate:
-                    candidates.append(candidate)
-        return draw(st.sampled_from(candidates))
+        return draw(st.sampled_from(entries_above(entry, high_q, max_base, star_safe)))
 
     high = DimensionType(
         high_q, above(low.default), {p: above(e) for p, e in low.exceptions})

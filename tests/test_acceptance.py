@@ -134,6 +134,7 @@ def test_criterion_4_order_oracle():
 
 def test_criterion_5_algebraic_laws():
     with criterion("algebraic laws, 10^4 samples per law"):
+        started = time.perf_counter()
         report = check_algebra_laws(seed=20260814, samples=10_000)
         assert report.passed, report.render()
         names = {law.name for law in report.laws}
@@ -146,6 +147,7 @@ def test_criterion_5_algebraic_laws():
         assert all(law.checked >= 10_000 for law in report.laws)
         digest = hashlib.sha256(report.render("structured").encode()).hexdigest()
         assert digest == "eb43c02ffd2a9413e8c68789f318fb193c3f861688cda76acd9ee461ef49464d"
+        assert time.perf_counter() - started < 30.0
 
 
 def test_criterion_6_snf_oracle():

@@ -6,9 +6,18 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from support import dimension_types, dominating_pairs
+from support import (
+    dimension_types,
+    dominating_pairs,
+    entries_above,
+    type_above_by_enumeration,
+)
 
 from dimcalc import (
+    INF,
+    DecoratedNumber,
+    Decoration,
+    DimensionType,
     EvaluationError,
     ParseError,
     Scenario,
@@ -23,6 +32,8 @@ from dimcalc import (
     evaluate_expr,
     fiber_bound,
     parse,
+    random_dimension_type,
+    random_type_above,
     run_scenario,
     uniform_types,
     union_bound,
@@ -335,13 +346,39 @@ class TestAlgebraLaws:
         assert "a=..., b=..." in text
         assert text.splitlines()[-1] == "result: FAIL (0/1 laws)"
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_rejected(self, samples, capsys):
+        with pytest.raises(ValidityError, match="samples >= 1"):
+            check_algebra_laws(samples=samples)
+        assert main(["verify", "--scenario", "laws", "--samples", str(samples)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the law suite needs an integer samples >= 1, got {samples}\n"
+
+
+    def test_below_with_equal_bases(self):
+        from dimcalc.harness import _below_with_equal_bases
+        minus, plus = Decoration.MINUS, Decoration.PLUS
+        low = DimensionType(2, DecoratedNumber(3, minus), {5: DecoratedNumber(4, minus)})
+        assert _below_with_equal_bases(
+            low, DimensionType(2, DecoratedNumber(3, plus), {5: DecoratedNumber(4, plus)}))
+        # a base that moves at the default, at an exception of either side, at Q
+        for high in (DimensionType(2, DecoratedNumber(4, minus), {5: DecoratedNumber(4, minus)}),
+                     DimensionType(2, DecoratedNumber(3, minus), {5: DecoratedNumber(5, minus)}),
+                     DimensionType(2, DecoratedNumber(3, minus), {5: DecoratedNumber(4, minus),
+                                                                  7: DecoratedNumber(4, minus)}),
+                     DimensionType(3, DecoratedNumber(3, minus), {5: DecoratedNumber(4, minus)})):
+            assert low <= high and not _below_with_equal_bases(low, high)
+        assert not _below_with_equal_bases(DimensionType(2, DecoratedNumber(3, plus)),
+                                           DimensionType(2, DecoratedNumber(3, minus)))
+
 
 class TestRandomGenerators:
     def test_random_types_are_canonical(self):
         from dimcalc.harness import _audit_canonical, random_dimension_type
         rng = random.Random("canonical-audit")
         for _ in range(500):
-            _audit_canonical(random_dimension_type(rng))
+            assert _audit_canonical(random_dimension_type(rng))
 
     def test_star_safe_types_mirror(self):
         from dimcalc.harness import random_dimension_type
@@ -357,3 +394,71 @@ class TestRandomGenerators:
             low = random_dimension_type(rng)
             high = random_type_above(rng, low)
             assert low <= high
+
+    def test_star_safe_type_above_mirrors(self):
+        # monotone-oplus takes oplus of these, which needs a mirror image
+        rng = random.Random("above-star-safe")
+        for _ in range(300):
+            low = random_dimension_type(rng, star_safe=True)
+            high = random_type_above(rng, low, star_safe=True)
+            assert high.star().star() == high
+
+    @pytest.mark.parametrize("max_base", [1, 2, 3, 4])
+    @pytest.mark.parametrize("star_safe", [False, True])
+    def test_type_above_matches_enumeration_exhaustively(self, max_base, star_safe):
+        # every finite valid entry at every value q at Q; the seeds cover
+        # every admissible new value at Q, which is drawn first
+        top = max_base + 1
+        seeds = range(40)
+        for q in range(top + 1):
+            assert {random.Random(s).randint(q, top) for s in seeds} == set(range(q, top + 1))
+            entries = [DecoratedNumber(q)] + [
+                DecoratedNumber(base, mark)
+                for base in range(top + 1)
+                for mark in (Decoration.MINUS, Decoration.PLUS)
+                if base > 0 or mark is Decoration.PLUS]
+            for entry in entries:
+                low = DimensionType(q, entry)
+                for seed in seeds:
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    got = random_type_above(rng, low, max_base, star_safe)
+                    assert got == type_above_by_enumeration(ref, low, max_base, star_safe)
+                    assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("star_safe", [False, True])
+    def test_type_above_matches_enumeration_seeded(self, star_safe):
+        rng = random.Random(f"above-enumeration:{star_safe}")
+        for _ in range(500):
+            low = random_dimension_type(rng, 12, star_safe=star_safe)
+            ref = random.Random()
+            ref.setstate(rng.getstate())
+            got = random_type_above(rng, low, 12, star_safe)
+            assert got == type_above_by_enumeration(ref, low, 12, star_safe)
+            assert rng.getstate() == ref.getstate()
+
+    def test_entries_above_sorted_and_dominating(self):
+        entry = DecoratedNumber(2, Decoration.PLUS)
+        found = entries_above(entry, 4, 4, False)
+        assert found == sorted(found) and all(entry <= e for e in found)
+        assert [str(e) for e in found] == ["2+", "3-", "3+", "4-", "4", "4+", "5-", "5+"]
+
+    def test_type_above_rejects_an_infinite_entry(self):
+        low = DimensionType(3, DecoratedNumber(INF, Decoration.PLUS))
+        with pytest.raises(ValidityError, match="finite type"):
+            random_type_above(random.Random(0), low)
+
+    def test_type_above_rejects_a_base_beyond_max_base(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValidityError, match="at most 6"):
+            random_type_above(rng, constant(9), max_base=5)
+        assert rng.getstate() == state
+        # the largest admissible value still works
+        assert random_type_above(rng, constant(6), max_base=5).rational == 6
+
+    def test_generators_reject_max_base_below_one(self):
+        for max_base in (0, -1, True):
+            with pytest.raises(ValidityError, match="max_base >= 1"):
+                random_dimension_type(random.Random(0), max_base=max_base)
+            with pytest.raises(ValidityError, match="max_base >= 1"):
+                random_type_above(random.Random(0), constant(0), max_base=max_base)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 
@@ -94,23 +95,61 @@ def as_extnat(value: object, what: str = "value") -> ExtNat:
     raise ValidityError(f"{what} must be a non-negative integer or inf, got {value!r}")
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to all of _BASES (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: object) -> bool:
-    """Primality by trial division; everything here is desk-scale."""
+    """Primality, decided exactly for every integer below ``PRIME_BOUND``.
+
+    Anything but a non-bool ``int`` is not prime.  Integers go through one
+    bounded memo (``functools.lru_cache``, 4096 entries): division by the
+    primes up to 41, then Miller-Rabin to those 13 bases, which is exact
+    below ``PRIME_BOUND`` (about 3.3e24).  A candidate at or above it with
+    no divisor up to 41 cannot be decided and raises ``ValidityError``.
+
+    >>> is_prime(10**18 + 3), is_prime(10**18 + 1), is_prime(True)
+    (True, False, False)
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
-    if n < 4:
+    return _is_prime(n)
+
+
+@lru_cache(maxsize=4096)
+def _is_prime(n: int) -> bool:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= PRIME_BOUND:
+        raise ValidityError(
+            f"cannot decide whether {n} is prime: candidates must be below {PRIME_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == d * 2**s with d odd
+    d = (n - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def require_prime(p: object, what: str = "prime") -> int:
+    """Return ``p`` if it is a prime ``int``, else raise ``ValidityError``.
+
+    The message names ``what`` the value stands for; a candidate too large
+    to decide raises the ``ValidityError`` of ``is_prime``.
+    """
     if not is_prime(p):
         raise ValidityError(f"{what} must be a prime number, got {p!r}")
     return p  # type: ignore[return-value]

@@ -2,7 +2,9 @@
 
 Subcommands:
 
-* ``eval "<expr>"``: evaluate one expression and print the value.
+* ``eval "<expr>"``: evaluate one expression and print the value; an
+  expression that starts with ``-`` follows ``--`` (``eval -- "-1+2"``),
+  or argparse reads it as an option.
 * ``verify --scenario <name|file> [--n A..B]``: run a claim scenario;
   the builtin ``laws`` target runs the seeded random law suites
   (``--seed``, ``--samples``).
@@ -17,7 +19,6 @@ comparison or failed report, 2 for any error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .exprs import (
     ParseError,
     TypeMismatchError,
     evaluate_expr,
+    formatted,
     kind_of,
     parse,
     render,
@@ -127,10 +129,8 @@ def _cmd_verify(args) -> int:
     else:
         runs = [{}]
     reports = [run_scenario(scenario, bindings) for bindings in runs]
-    if args.format == "structured":
-        print(json.dumps([r.tree() for r in reports], sort_keys=True))
-    else:
-        print("\n\n".join(r.render("pretty") for r in reports))
+    print(formatted(args.format, lambda: "\n\n".join(r.render("pretty") for r in reports),
+                    lambda: [r.tree() for r in reports]))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -15,10 +15,11 @@ Everything here is immutable and safe to share.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from functools import lru_cache, total_ordering
+from typing import Union
 
 
 class ValidityError(ValueError):
@@ -29,6 +30,7 @@ class NotRepresentableError(ValidityError):
     """An operation result with no decorated representation."""
 
 
+@total_ordering
 class _Infinity:
     """The unbounded dimension value; compares above every integer."""
 
@@ -45,25 +47,6 @@ class _Infinity:
     def __lt__(self, other):
         if other is self or isinstance(other, int):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is self or isinstance(other, int):
-            return True
         return NotImplemented
 
     def __add__(self, other):

@@ -29,16 +29,19 @@ Integer subexpressions may contain free parameters (any non-reserved
 name); they are bound at evaluation time.  Literals with no parameters
 are validated once, during parsing, and keep their value, so a malformed
 type never survives to evaluation.  Numbers have at most MAX_DIGITS
-digits and nesting is at most MAX_DEPTH deep.  Every diagnostic carries
-a 1-based line and column.
+digits and nesting is at most MAX_DEPTH deep.  A longer product is an
+evaluation error at its '*': sums grow by at most one digit per
+operator, so products are the only way past that cap.  Every diagnostic
+carries a 1-based line and column.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .decorated import (
     INF,
@@ -63,7 +66,8 @@ from .groups import (
     bockstein_basis,
 )
 
-MAX_DIGITS = 1000  # longest number literal
+MAX_DIGITS = 1000  # longest number literal or product
+_NUMBER_LIMIT = 10**MAX_DIGITS
 MAX_DEPTH = 200  # deepest nesting of brackets and unary minus, and of a parse tree
 
 
@@ -517,7 +521,10 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
                 lhs, rhs = ev(args[0], bindings), ev(args[1], bindings)
                 if lhs is INF or rhs is INF:
                     raise EvaluationError("cannot multiply by inf")
-                return lhs * rhs
+                product = lhs * rhs
+                if abs(product) >= _NUMBER_LIMIT:
+                    raise EvaluationError(f"product longer than {MAX_DIGITS} digits")
+                return product
             case "neg":
                 value = ev(args[0], bindings)
                 if value is INF:
@@ -585,13 +592,24 @@ def render(value, format: str = "pretty") -> str:
     >>> render(constant(0), "pretty")
     '{q=0; *=0}'
     """
+    return formatted(format, lambda: _pretty(value), lambda: to_json(value))
+
+
+def formatted(format: str, pretty, tree) -> str:
+    """Text in one output format: ``pretty()`` for "pretty", the JSON of
+    ``tree()`` for "structured"; values and reports both render here, and
+    any other format is a ValueError."""
     if format == "pretty":
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
+        return pretty()
     if format == "structured":
-        return json.dumps(to_json(value), sort_keys=True)
+        return json.dumps(tree(), sort_keys=True)
     raise ValueError(f"unknown format {format!r}")
+
+
+def _pretty(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _extnat_json(value):

@@ -24,6 +24,7 @@ from .decorated import (
     DecoratedNumber,
     Decoration,
     DimensionType,
+    PRIME_BOUND,
     ExtNat,
     ValidityError,
     is_prime,
@@ -214,73 +215,64 @@ def smith_normal_form(
     diag: list[int] = []
     top = 0
     while top < rows and top < cols:
-        # pick the nonzero entry of least magnitude as pivot
+        # pivot on the nonzero entry of least magnitude
         pivot = None
         for i in range(top, rows):
             for j in range(top, cols):
                 v = m[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                if v and (pivot is None or abs(v) < least):
+                    pivot, least = (i, j), abs(v)
         if pivot is None:
             break
         i, j = pivot
         m[top], m[i] = m[i], m[top]
-        for r in range(rows):
-            m[r][top], m[r][j] = m[r][j], m[r][top]
-        # clear the pivot row and column; a leftover remainder becomes the
-        # new, strictly smaller pivot on the next pass
-        while True:
-            p = m[top][top]
-            dirty = False
-            for i in range(top + 1, rows):
-                q = m[i][top] // p
-                if q:
-                    for j in range(cols):
-                        m[i][j] -= q * m[top][j]
-                if m[i][top]:
-                    m[top], m[i] = m[i], m[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(top + 1, cols):
-                q = m[top][j] // p
-                if q:
-                    for i in range(rows):
-                        m[i][j] -= q * m[i][top]
-                if m[top][j]:
-                    for i in range(rows):
-                        m[i][top], m[i][j] = m[i][j], m[i][top]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
+        for row in m:
+            row[top], row[j] = row[j], row[top]
+        # floor-reduce the pivot column and row; a remainder left behind is
+        # smaller than the pivot and becomes the next round's pivot
+        pivot_row = m[top]
+        p = pivot_row[top]
+        clear = True
+        for i in range(top + 1, rows):
+            q = m[i][top] // p
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], pivot_row)]
+            clear = clear and not m[i][top]
+        for j in range(top + 1, cols):
+            q = pivot_row[j] // p
+            if q:
+                for row in m[top:]:
+                    row[j] -= q * row[top]
+            clear = clear and not pivot_row[j]
+        if clear:
+            diag.append(abs(p))
+            top += 1
 
-    # repair divisibility along the diagonal with gcd/lcm passes
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
+    # repair divisibility along the diagonal: once each entry has taken the
+    # gcd with every later one, and left it the lcm, it divides them all
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
             if b % a:
                 g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-    diag.sort()
+                diag[i], diag[j] = g, a * b // g
 
     rank = generators - len(diag)
     return rank, [d for d in diag if d != 1]
 
 
 def _prime_factors(n: int) -> set[int]:
+    # trial division that stops once the cofactor is prime; at or above
+    # PRIME_BOUND is_prime cannot tell, so division goes on there
     out: set[int] = set()
     f = 2
-    while f * f <= n:
-        while n % f == 0:
+    done = n < PRIME_BOUND and is_prime(n)
+    while not done and f * f <= n:
+        if n % f == 0:
             out.add(f)
-            n //= f
+            while n % f == 0:
+                n //= f
+            done = n < PRIME_BOUND and is_prime(n)
         f += 1 if f == 2 else 2
     if n > 1:
         out.add(n)
@@ -313,9 +305,8 @@ def profile(group: GroupExpr) -> StructuralProfile:
             return StructuralProfile(True, PrimePredicate(True, frozenset({p})), _NEVER, _ALWAYS)
         case Presented(generators=g, relations=rel):
             rank, factors = smith_normal_form(rel, g)
-            primes: set[int] = set()
-            for f in factors:
-                primes |= _prime_factors(f)
+            # every invariant factor divides the last one
+            primes = _prime_factors(factors[-1]) if factors else ()
             torsion = PrimePredicate(False, frozenset(primes))
             return StructuralProfile(
                 rank > 0, _ALWAYS if rank == 0 else _NEVER, torsion, ~torsion

@@ -12,11 +12,10 @@ Three services on top of the core calculus:
 
 from __future__ import annotations
 
-import json
 import random
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
 
 from .decorated import (
     INF,
@@ -32,6 +31,7 @@ from .exprs import (
     ParseError,
     apply_comparison,
     evaluate_expr,
+    formatted,
     free_parameters,
     parse,
     render,
@@ -127,8 +127,15 @@ class ClaimResult:
     op: str
 
 
+class _Report:
+    """A report: pretty text from ``_pretty``, a JSON tree from ``tree``."""
+
+    def render(self, format: str = "pretty") -> str:
+        return formatted(format, self._pretty, self.tree)
+
+
 @dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(_Report):
     scenario: Scenario
     bindings: tuple[tuple[str, int], ...]
     results: tuple[ClaimResult, ...]
@@ -137,9 +144,7 @@ class ScenarioReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def render(self, format: str = "pretty") -> str:
-        if format == "structured":
-            return json.dumps(self.tree(), sort_keys=True)
+    def _pretty(self) -> str:
         suffix = ""
         if self.bindings:
             suffix = " [" + ", ".join(f"{k}={v}" for k, v in self.bindings) + "]"
@@ -247,7 +252,7 @@ def uniform_types(max_rational: int, max_base: int) -> Iterator[DimensionType]:
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Report):
     n: int
     base_bound: int
     dim2_count: int
@@ -259,9 +264,7 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def render(self, format: str = "pretty") -> str:
-        if format == "structured":
-            return json.dumps(self.tree(), sort_keys=True)
+    def _pretty(self) -> str:
         lines = [
             f"cube sweep: n={self.n}, base bound {self.base_bound}",
             f"  dim-2 base types: {self.dim2_count}",
@@ -441,7 +444,7 @@ class LawResult:
 
 
 @dataclass(frozen=True)
-class LawReport:
+class LawReport(_Report):
     seed: int
     samples: int
     laws: tuple[LawResult, ...]
@@ -450,9 +453,7 @@ class LawReport:
     def passed(self) -> bool:
         return all(law.passed for law in self.laws)
 
-    def render(self, format: str = "pretty") -> str:
-        if format == "structured":
-            return json.dumps(self.tree(), sort_keys=True)
+    def _pretty(self) -> str:
         lines = [f"algebra laws: seed={self.seed}, samples={self.samples}"]
         for law in self.laws:
             verdict = "pass" if law.passed else "FAIL"

@@ -30,6 +30,8 @@ MINUS, NONE, PLUS = Decoration.MINUS, Decoration.NONE, Decoration.PLUS
 
 D1 = DimensionType(2, DecoratedNumber(3, MINUS))
 
+COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+
 
 class TestExtNat:
     def test_absorbing_arithmetic(self):
@@ -49,6 +51,27 @@ class TestExtNat:
 
     def test_not_equal_to_any_integer(self):
         assert INF != 0 and INF != 10**9
+
+    @pytest.mark.parametrize("other", [0, -1, True, 10**100, INF], ids=repr)
+    @pytest.mark.parametrize("op", COMPARISONS, ids=lambda op: op.__name__)
+    def test_order_exhaustive(self, op, other):
+        # inf sits above every integer and equals only itself
+        def key(v):
+            return (1, 0) if v is INF else (0, v)
+
+        assert op(INF, other) is op(key(INF), key(other))
+        assert op(other, INF) is op(key(other), key(INF))
+
+    @pytest.mark.parametrize("other", [1.5, "x"], ids=repr)
+    @pytest.mark.parametrize("op", COMPARISONS, ids=lambda op: op.__name__)
+    def test_no_order_against_other_values(self, op, other):
+        if op in (operator.eq, operator.ne):
+            assert op(INF, other) is op(other, INF) is (op is operator.ne)
+            return
+        with pytest.raises(TypeError):
+            op(INF, other)
+        with pytest.raises(TypeError):
+            op(other, INF)
 
 
 class TestDecoratedNumber:

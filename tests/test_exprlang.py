@@ -312,6 +312,49 @@ class TestInputCaps:
         assert ev("1" * 1000 + " - 1") == int("1" * 999 + "0")
 
 
+class TestProductCap:
+    """A product longer than MAX_DIGITS digits is an evaluation error at
+    its '*', so no integer reaches Python's int-to-text limit."""
+
+    BIG = "9" * 1000
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        return code, err.strip()
+
+    @pytest.mark.parametrize("text, column", [
+        ("*".join(["9" * 1000] * 5), 1001),
+        ("C(" + "*".join(["9" * 1000] * 5) + ")", 1003),
+        ("1 + " + "9" * 1000 + " * 99", 1006),
+        ("9" * 999 + " * 10 * 10", 1006),
+    ], ids=["five factors", "in a literal", "in a sum", "second product"])
+    def test_eval_exits_two_at_the_star(self, text, column, capsys):
+        code, err = self.run(["eval", text], capsys)
+        assert code == 2
+        assert err.endswith(f"product longer than 1000 digits (line 1, column {column})")
+
+    def test_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "big.claims"
+        path.write_text("C(1) <= C(2)\n"
+                        f"n * {self.BIG} * {self.BIG} <= 1\n", encoding="utf-8")
+        code, err = self.run(["verify", "--scenario", str(path), "--n", "1"], capsys)
+        assert code == 2
+        assert err.endswith("product longer than 1000 digits (line 2, column 1006)")
+
+    def test_products_up_to_the_cap(self):
+        assert ev("9" * 999 + " * 10") == int("9" * 999 + "0")
+        assert ev("-" + "9" * 500 + " * " + "9" * 500) == -int("9" * 500) ** 2
+        with pytest.raises(EvaluationError, match="product longer"):
+            ev("1" + "0" * 999 + " * 10")
+
+
+def test_expression_after_double_dash(capsys):
+    assert main(["eval", "--", "-1+2"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
 class TestKinds:
     def test_kind_of(self):
         assert kind_of(parse("5")) == "integer"

@@ -151,6 +151,15 @@ class TestSmithNormalForm:
             matrix = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
             assert smith_normal_form(matrix, cols) == det_invariants(matrix, cols)
 
+    def test_oracle_agreement_large_entries(self):
+        # wide entries leave remainders for several rounds per pivot
+        rng = random.Random("snf-wide")
+        for _ in range(200):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 4)
+            matrix = [[rng.randint(-1000, 1000) for _ in range(cols)] for _ in range(rows)]
+            assert smith_normal_form(matrix, cols) == det_invariants(matrix, cols)
+
 
 class TestProfile:
     def test_free(self):

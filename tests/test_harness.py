@@ -34,6 +34,7 @@ from dimcalc import (
     parse,
     random_dimension_type,
     random_type_above,
+    render,
     run_scenario,
     uniform_types,
     union_bound,
@@ -224,6 +225,19 @@ class TestMissingBindings:
         with pytest.raises(EvaluationError) as info:
             run_scenario(scenario, {"n": 1})
         assert (info.value.line, info.value.column) == (2, 8)
+
+
+@pytest.mark.parametrize("report", [
+    cube_theorem_sweep(6, 8),
+    check_algebra_laws(seed=1, samples=5),
+    run_scenario(builtin_scenario("section4"), {"n": 6}),
+], ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("format", ["yaml", "json", "Pretty", ""])
+def test_reports_reject_unknown_formats(report, format):
+    with pytest.raises(ValueError, match=f"unknown format '{format}'"):
+        report.render(format)
+    with pytest.raises(ValueError, match=f"unknown format '{format}'"):
+        render(constant(1), format)
 
 
 def test_golden_outputs(capsys):

@@ -1,5 +1,5 @@
-"""Primality: ``is_prime`` against sympy, its memo, and large candidates
-through the command line.
+"""Primality: ``is_prime`` against sympy, its memo, prime factors, and
+large candidates through the command line.
 """
 
 import random
@@ -7,11 +7,12 @@ import re
 import time
 
 import pytest
-from sympy import isprime, nextprime
+from sympy import factorint, isprime, nextprime
 
 from dimcalc import ValidityError
 from dimcalc.cli import main
 from dimcalc.decorated import PRIME_BOUND, _is_prime, is_prime, require_prime
+from dimcalc.groups import _prime_factors
 
 # The least strong pseudoprimes to the first k prime bases, k = 1..12
 # (2047 for base 2 alone, ..., 318665857834031151167461 for 2..37).
@@ -87,6 +88,34 @@ class TestIsPrime:
         assert info.maxsize == 4096 and info.currsize == 4096
 
 
+class TestPrimeFactors:
+    def test_seeded_integers_match_sympy(self):
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            n = rng.randrange(2, 10**7)
+            assert _prime_factors(n) == set(factorint(n)), n
+
+    @pytest.mark.parametrize("p, k", [
+        (2, 1), (2, 100), (3, 40), (43, 1), (43, 20), (997, 9), (1009, 3),
+        (10**18 + 3, 1), (nextprime(10**24), 1),
+    ])
+    def test_prime_powers(self, p, k):
+        # 2**100, 43**20 and 997**9 are above PRIME_BOUND: trial division
+        # goes on there instead of asking is_prime
+        assert _prime_factors(p**k) == {p}
+
+    def test_smooth_times_large_prime(self):
+        rng = random.Random(20261020)
+        small = [p for p in range(2, 200) if isprime(p)]
+        for _ in range(40):
+            q = nextprime(10**18 + rng.randrange(10**6))
+            smooth = 1
+            for _ in range(rng.randint(0, 12)):
+                smooth *= rng.choice(small)
+            n = smooth * q
+            assert _prime_factors(n) == set(factorint(n)), n
+
+
 class TestLargeCandidatesThroughCli:
     """Each run decides its primes cold and ends within one second."""
 
@@ -115,3 +144,15 @@ class TestLargeCandidatesThroughCli:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert re.search(r"\(line 1, column 1\)$", err.strip())
+
+    @pytest.mark.parametrize("group, basis", [
+        ("Z/1000000000000000003", "{Z_1000000000000000003}"),
+        ("Z/43000000000000000129", "{Z_43, Z_1000000000000000003}"),
+        ("pres[[2000000000000000006]]", "{Z_2, Z_1000000000000000003}"),
+        ("Z/" + str(43**20), "{Z_43}"),
+    ])
+    def test_sigma_of_large_moduli(self, group, basis, capsys):
+        start = time.perf_counter()
+        code = main(["sigma", group])
+        assert time.perf_counter() - start < 1.0
+        assert (code, *capsys.readouterr()) == (0, basis + "\n", "")

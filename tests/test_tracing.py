@@ -1,0 +1,46 @@
+"""The span table of the traced benchmark names functions that exist.
+
+``bench/tracing.py`` reads each ``SPANS`` target from its owner's
+``__dict__``, so deleting or inheriting one breaks ``bench/run.py
+--trace 1``.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import dimcalc
+from dimcalc.cli import main
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("dimcalc_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_is_defined_by_its_owner():
+    tracing = load_tracing()
+    missing = []
+    for module, path, _, _ in tracing.SPANS:
+        owner = importlib.import_module(f"dimcalc.{module}")
+        *classes, attr = path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        if attr not in owner.__dict__:
+            missing.append(f"{module}.{path}")
+    assert len(tracing.SPANS) == 30 and missing == []
+
+
+def test_instrument_traces_and_restores(capsys):
+    tracing = load_tracing()
+    parse = dimcalc.exprs.parse
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert main(["sigma", "Z/12"]) == 0
+    assert dimcalc.exprs.parse is parse
+    assert {"cli.main", "exprs.parse", "groups.sigma"} <= set(tracer.names)
+    assert capsys.readouterr().out == "{Z_2, Z_3}\n"

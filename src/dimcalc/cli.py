@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .decorated import ValidityError
 from .exprs import (
+    MAX_DIGITS,
     EvaluationError,
     ParseError,
     TypeMismatchError,
@@ -96,6 +97,8 @@ def _parse_n_range(text: str) -> list[int]:
             first = last = int(lo)
     except ValueError:
         raise ValidityError(f"--n expects an integer or a range A..B, got {text!r}") from None
+    if any(len(str(abs(bound))) > MAX_DIGITS for bound in (first, last)):
+        raise ValidityError(f"--n bound longer than {MAX_DIGITS} digits")
     if last < first:
         raise ValidityError(f"empty range {text!r}")
     return list(range(first, last + 1))

@@ -212,10 +212,21 @@ class DecoratedNumber:
 
 
 class BasisKind(Enum):
+    """The four kinds of group in the Bockstein family.
+
+    Each value is the name a group of that kind is shown by, with ``{p}``
+    standing for its prime.  Q comes first; the three prime kinds follow
+    in the order in which one prime entry of a dimension type gives its
+    values: Z/p, then Z_{p^inf}, then Z_(p).
+    """
+
     RATIONALS = "Q"
-    CYCLIC = "Z/p"
-    CIRCLE = "Z_{p^inf}"
-    LOCALIZED = "Z_(p)"
+    CYCLIC = "Z_{p}"
+    CIRCLE = "Z_{p}^inf"
+    LOCALIZED = "Z_({p})"
+
+
+_PRIME_KINDS = tuple(BasisKind)[1:]
 
 
 @dataclass(frozen=True)
@@ -249,13 +260,7 @@ class BocksteinGroup:
         return cls(BasisKind.LOCALIZED, p)
 
     def __str__(self) -> str:
-        if self.kind is BasisKind.RATIONALS:
-            return "Q"
-        if self.kind is BasisKind.CYCLIC:
-            return f"Z_{self.prime}"
-        if self.kind is BasisKind.CIRCLE:
-            return f"Z_{self.prime}^inf"
-        return f"Z_({self.prime})"
+        return self.kind.value.format(p=self.prime)
 
 
 class DimensionType:
@@ -358,7 +363,7 @@ class DimensionType:
     # -- evaluation ----------------------------------------------------
 
     def _values_at(self, e: DecoratedNumber) -> tuple[ExtNat, ExtNat, ExtNat]:
-        # The values at (Z/p, Z_{p^inf}, Z_(p)) encoded by one entry.
+        # The values encoded by one entry, one per prime kind in BasisKind order.
         if e.decoration is Decoration.NONE:
             return e.base, e.base, e.base
         if e.decoration is Decoration.PLUS:
@@ -371,12 +376,7 @@ class DimensionType:
             raise TypeError(f"expected a BocksteinGroup, got {group!r}")
         if group.kind is BasisKind.RATIONALS:
             return self.rational
-        cyclic, circle, localized = self._values_at(self.entry(group.prime))
-        if group.kind is BasisKind.CYCLIC:
-            return cyclic
-        if group.kind is BasisKind.CIRCLE:
-            return circle
-        return localized
+        return self._values_at(self.entry(group.prime))[_PRIME_KINDS.index(group.kind)]
 
     def dim(self) -> ExtNat:
         """Largest value attained over the whole family.

@@ -94,10 +94,10 @@ class EvaluationError(RuntimeError):
     """A well-formed expression that has no value under the given bindings."""
 
 
-def _place(err: ValidityError | EvaluationError, line: int, column: int):
-    # keep the concrete subclass so callers can still catch narrowly; an
-    # error already placed inside a concrete literal moves to the literal,
-    # which reports every error of its own evaluation at itself
+def placed(err: ValidityError | EvaluationError, line: int, column: int):
+    """``err`` placed at (line, column), of its own class so callers still
+    catch it narrowly; an error already placed inside a concrete literal
+    moves to the literal, which reports its own evaluation's errors there."""
     message = str(err)
     if hasattr(err, "line"):
         message = message.removesuffix(_where(err.line, err.column))
@@ -394,7 +394,7 @@ class _Parser:
         try:
             value = evaluate_expr(node)
         except ValidityError as err:
-            raise _place(err, node.line, node.column) from None
+            raise placed(err, node.line, node.column) from None
         return Expr(node.op, node.args, node.line, node.column, value)
 
     def type_literal(self, tok: Token) -> Expr:
@@ -413,7 +413,7 @@ class _Parser:
             try:
                 require_prime(prime, "exception key")
             except ValidityError as err:
-                raise _place(err, key.line, key.column) from None
+                raise placed(err, key.line, key.column) from None
             if prime in entries:
                 raise ParseError(f"duplicate entry for prime {prime}", key.line, key.column)
             self.expect("=")
@@ -579,7 +579,7 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
     except (ValidityError, EvaluationError) as err:
         if hasattr(err, "line"):
             raise
-        raise _place(err, expr.line, expr.column) from None
+        raise placed(err, expr.line, expr.column) from None
 
 
 def render(value, format: str = "pretty") -> str:

@@ -344,52 +344,34 @@ class SigmaSet:
     circle: PrimePredicate
     localized: PrimePredicate
 
+    def _by_kind(self) -> tuple[tuple[BasisKind, PrimePredicate], ...]:
+        # each prime kind with the primes at which its group is a member
+        return ((BasisKind.CYCLIC, self.cyclic), (BasisKind.CIRCLE, self.circle),
+                (BasisKind.LOCALIZED, self.localized))
+
     def __contains__(self, group: BocksteinGroup) -> bool:
         if not isinstance(group, BocksteinGroup):
             raise TypeError(f"expected a BocksteinGroup, got {group!r}")
         if group.kind is BasisKind.RATIONALS:
             return self.rationals
-        pred = {
-            BasisKind.CYCLIC: self.cyclic,
-            BasisKind.CIRCLE: self.circle,
-            BasisKind.LOCALIZED: self.localized,
-        }[group.kind]
-        return pred(group.prime)
+        return next(pred for kind, pred in self._by_kind() if kind is group.kind)(group.prime)
 
     def is_empty(self) -> bool:
-        return (
-            not self.rationals
-            and self.cyclic.never()
-            and self.circle.never()
-            and self.localized.never()
-        )
+        return not self.rationals and all(pred.never() for _, pred in self._by_kind())
 
     def exception_primes(self) -> tuple[int, ...]:
-        return tuple(
-            sorted(self.cyclic.exceptions | self.circle.exceptions | self.localized.exceptions)
-        )
+        return tuple(sorted({p for _, pred in self._by_kind() for p in pred.exceptions}))
 
     def __str__(self) -> str:
-        clauses: list[str] = []
-        if self.rationals:
-            clauses.append("Q")
-        clauses.extend(_membership_clauses(self.cyclic, "Z_p", "Z_{p}"))
-        clauses.extend(_membership_clauses(self.circle, "Z_p^inf", "Z_{p}^inf"))
-        clauses.extend(_membership_clauses(self.localized, "Z_(p)", "Z_({p})"))
-        if not clauses:
-            return "{}"
+        clauses = ["Q"] if self.rationals else []
+        for kind, pred in self._by_kind():
+            primes = sorted(pred.exceptions)
+            if pred.default:
+                missing = " except " + ", ".join(map(str, primes)) if primes else ""
+                clauses.append(f"{kind.value.format(p='p')}: all p{missing}")
+            elif primes:
+                clauses.append(", ".join(kind.value.format(p=p) for p in primes))
         return "{" + "; ".join(clauses) + "}"
-
-
-def _membership_clauses(pred: PrimePredicate, generic: str, fmt: str) -> list[str]:
-    if pred.default:
-        if pred.exceptions:
-            missing = ", ".join(str(p) for p in sorted(pred.exceptions))
-            return [f"{generic}: all p except {missing}"]
-        return [f"{generic}: all p"]
-    if pred.exceptions:
-        return [", ".join(fmt.format(p=p) for p in sorted(pred.exceptions))]
-    return []
 
 
 def bockstein_basis(group: GroupExpr) -> SigmaSet:
@@ -432,17 +414,11 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     3
     """
     sigma = bockstein_basis(group)
-    if sigma.is_empty():
-        return 0
-    values: list[ExtNat] = []
-    if sigma.rationals:
-        values.append(d(BocksteinGroup.rationals()))
-    marked = tuple(sorted(set(d.exception_primes()) | set(sigma.exception_primes())))
+    values: list[ExtNat] = [d.rational] if sigma.rationals else []
+    marked = tuple(sorted({*d.exception_primes(), *sigma.exception_primes()}))
+    by_kind = sigma._by_kind()
     for p in (*marked, _generic_prime(marked)):
-        if sigma.cyclic(p):
-            values.append(d(BocksteinGroup.cyclic(p)))
-        if sigma.circle(p):
-            values.append(d(BocksteinGroup.circle(p)))
-        if sigma.localized(p):
-            values.append(d(BocksteinGroup.localized(p)))
-    return max(values) if values else 0
+        for kind, pred in by_kind:
+            if pred(p):
+                values.append(d(BocksteinGroup(kind, p)))
+    return max(values, default=0)

@@ -34,6 +34,7 @@ from .exprs import (
     formatted,
     free_parameters,
     parse,
+    placed,
     render,
     to_json,
     walk,
@@ -191,10 +192,8 @@ def run_scenario(scenario: Scenario, bindings: Mapping[str, int] | None = None) 
         # placed at the first use, in text order, of a missing parameter
         at = min((n.line, n.column) for claim in scenario.claims for n, _ in walk(claim.expr, False)
                  if n.op == "param" and n.args[0] in missing)
-        err = EvaluationError(f"scenario {scenario.name!r} needs bindings for: "
-                              + ", ".join(missing) + " (line {}, column {})".format(*at))
-        err.line, err.column = at
-        raise err
+        raise placed(EvaluationError(f"scenario {scenario.name!r} needs bindings for: "
+                                     + ", ".join(missing)), *at)
     results = []
     for claim in scenario.claims:
         lhs_expr, rhs_expr = claim.expr.args

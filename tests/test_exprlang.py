@@ -350,6 +350,28 @@ class TestProductCap:
             ev("1" + "0" * 999 + " * 10")
 
 
+class TestNBoundCap:
+    """A --n bound longer than MAX_DIGITS digits is an invalid value, as
+    the same number written as a literal is a parse error."""
+
+    def claims(self, tmp_path):
+        path = tmp_path / "double.claims"
+        path.write_text("n + n <= 1\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("n_range", ["9" * 1001, "9" * 4300, "1.." + "9" * 1001,
+                                         "-" + "9" * 1001 + "..1"],
+                             ids=["1001 digits", "4300 digits", "upper bound", "lower bound"])
+    def test_exits_two_with_one_line(self, n_range, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.claims(tmp_path), "--n=" + n_range]) == 2
+        assert capsys.readouterr() == ("", "error: --n bound longer than 1000 digits\n")
+
+    def test_bound_at_the_cap_runs(self, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.claims(tmp_path), "--n", "9" * 1000]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and f"lhs = 1{'9' * 999}8\n" in out
+
+
 def test_expression_after_double_dash(capsys):
     assert main(["eval", "--", "-1+2"]) == 0
     assert capsys.readouterr() == ("1\n", "")

@@ -27,9 +27,10 @@ from dimcalc import (
     constant,
     dim_with_coefficients,
     profile,
+    render,
     smith_normal_form,
 )
-from support import det_invariants, dimension_types
+from support import ORACLE_PRIMES, bockstein_groups, det_invariants, dimension_types
 
 
 class TestPrimePredicate:
@@ -290,7 +291,87 @@ class TestBocksteinBasis:
         assert str(sigma) == "{Q; Z_p: all p except 2, 3; Z_(5)}"
 
 
+class TestBasisNames:
+    """The name, JSON tree and value at DT{q=5; *=3-} of one group of
+    each kind; that type takes a different value at each prime kind."""
+
+    CASES = [
+        (BocksteinGroup.rationals(), "Q", 5),
+        (BocksteinGroup.cyclic(2), "Z_2", 3),
+        (BocksteinGroup.circle(5), "Z_5^inf", 2),
+        (BocksteinGroup.localized(7), "Z_(7)", 5),
+    ]
+
+    @pytest.mark.parametrize("group, name, value", CASES, ids=[c[1] for c in CASES])
+    def test_name_tree_and_value(self, group, name, value):
+        assert str(group) == name
+        assert render(group, "pretty") == name
+        assert render(group, "structured") == '{"kind": "basis-group", "text": "%s"}' % name
+        assert DimensionType(5, DecoratedNumber(3, Decoration.MINUS))(group) == value
+
+
+class TestSigmaSetShapes:
+    """Every shape of SigmaSet: Q in or out, and for each prime kind a
+    default in or out with no, one or two exception primes."""
+
+    # the notation of the README and the docs: Z_p, Z_p^inf and Z_(p),
+    # with p a prime or the letter p
+    NAMES = ("Z_{}", "Z_{}^inf", "Z_({})")
+    MEMBERS = (BocksteinGroup.cyclic, BocksteinGroup.circle, BocksteinGroup.localized)
+    PREDICATES = [(default, frozenset(exceptions)) for default in (False, True)
+                  for exceptions in ((), (2,), (2, 3))]
+
+    def expected_text(self, rationals, predicates):
+        clauses = ["Q"] if rationals else []
+        for name, (default, exceptions) in zip(self.NAMES, predicates):
+            primes = sorted(exceptions)
+            if default and primes:
+                clauses.append(name.format("p") + ": all p except "
+                               + ", ".join(str(p) for p in primes))
+            elif default:
+                clauses.append(name.format("p") + ": all p")
+            elif primes:
+                clauses.append(", ".join(name.format(p) for p in primes))
+        return "{" + "; ".join(clauses) + "}"
+
+    def test_every_shape(self):
+        for rationals in (False, True):
+            for predicates in itertools.product(self.PREDICATES, repeat=3):
+                sigma = SigmaSet(rationals, *(PrimePredicate(*pr) for pr in predicates))
+                assert str(sigma) == self.expected_text(rationals, predicates)
+                assert (BocksteinGroup.rationals() in sigma) == rationals
+                for member, (default, exceptions) in zip(self.MEMBERS, predicates):
+                    for p in ORACLE_PRIMES:
+                        assert (member(p) in sigma) == (default != (p in exceptions))
+                assert sigma.is_empty() == (
+                    not rationals and not any(d or e for d, e in predicates))
+                assert sigma.exception_primes() == tuple(
+                    sorted(set().union(*(e for _, e in predicates))))
+
+
+def reduction_oracle(d, group):
+    """The largest value of d over the members of sigma(G) among the
+    groups at the marked primes, ORACLE_PRIMES and 13."""
+    sigma = bockstein_basis(group)
+    primes = sorted({*d.exception_primes(), *sigma.exception_primes(), *ORACLE_PRIMES, 13})
+    return max((d(g) for g in bockstein_groups(primes) if g in sigma), default=0)
+
+
+# one group per branch of profile, and sums that mix them
+REDUCTION_GROUPS = [
+    Rationals(), Free(1), Free(0), Cyclic(12), PadicCircle(13), LocalizedIntegers(3),
+    Presented(3, ((2, 4, 0), (6, 8, 0))), Presented(2, ((6, 4), (4, 6))),
+    PadicCircle(13) + LocalizedIntegers(2), Rationals() + Cyclic(6),
+    Free(2) + PadicCircle(2) + Cyclic(9), Rationals() + LocalizedIntegers(5),
+]
+
+
 class TestDimWithCoefficients:
+    @given(st.one_of(dimension_types(), dimension_types(allow_inf=True)),
+           st.sampled_from(REDUCTION_GROUPS))
+    def test_matches_reduction_oracle(self, d, group):
+        assert dim_with_coefficients(d, group) == reduction_oracle(d, group)
+
     def test_integer_coefficients(self):
         for n in range(1, 8):
             assert dim_with_coefficients(boltyanskii_type(n), Free(1)) == n

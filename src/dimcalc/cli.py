@@ -7,10 +7,16 @@ Subcommands:
   or argparse reads it as an option.
 * ``verify --scenario <name|file> [--n A..B]``: run a claim scenario;
   the builtin ``laws`` target runs the seeded random law suites
-  (``--seed``, ``--samples``).
+  (``--seed``, ``--samples``).  A range with a negative lower bound is
+  written ``--n=-3..3``; as a separate word, argparse reads ``-3..3`` as
+  an option.
 * ``sweep --cube --n N --bound K``: exhaustive grid check of the fiber
   argument.
 * ``sigma "<group>"``: print the Bockstein basis of a group expression.
+
+The work of one run is capped: ``sweep --bound`` at MAX_BOUND, the
+length of an ``--n`` range at MAX_N_RUNS and ``--samples`` at
+MAX_SAMPLES.  Going over a cap is an invalid value.
 
 Exit codes: 0 for success (and true comparisons), 1 for a false
 comparison or failed report, 2 for any error.
@@ -24,6 +30,7 @@ from pathlib import Path
 
 from .decorated import ValidityError
 from .exprs import (
+    FORMATS,
     MAX_DIGITS,
     EvaluationError,
     ParseError,
@@ -44,6 +51,10 @@ from .harness import (
     run_scenario,
 )
 
+MAX_BOUND = 100  # largest sweep --bound K; the sweep builds about 2*(K+1)**2 types
+MAX_N_RUNS = 1000  # most values in one --n range, each one scenario run
+MAX_SAMPLES = 10_000  # largest --samples of the law suite, its default
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,11 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_format(p):
         p.add_argument(
-            "--format", choices=("pretty", "structured"), default="pretty",
+            "--format", choices=FORMATS, default="pretty",
             help="output as canonical text or as a JSON tree")
 
     p_eval = sub.add_parser("eval", help="evaluate one expression")
     p_eval.add_argument("expression")
+    p_eval.set_defaults(handler=_cmd_eval)
     add_format(p_eval)
 
     p_verify = sub.add_parser("verify", help="run a claim scenario or the law suites")
@@ -68,27 +80,33 @@ def _build_parser() -> argparse.ArgumentParser:
         % ", ".join(builtin_scenario_names()))
     p_verify.add_argument(
         "--n", dest="n_range", metavar="A..B",
-        help="bind the parameter n to one value or to every value of a range")
+        help="bind the parameter n to one value or to every value of a range, at most "
+             f"{MAX_N_RUNS} values; write --n=A..B when A is negative")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the laws target")
     p_verify.add_argument(
-        "--samples", type=int, default=10000, help="sample count for the laws target")
+        "--samples", type=int, default=MAX_SAMPLES,
+        help=f"sample count for the laws target, at most {MAX_SAMPLES}")
+    p_verify.set_defaults(handler=_cmd_verify)
     add_format(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="exhaustive checks over finite type grids")
     p_sweep.add_argument("--cube", action="store_true", required=True,
                          help="the two-inequality sweep behind the fiber argument")
     p_sweep.add_argument("--n", type=int, required=True, help="ambient dimension, at least 4")
-    p_sweep.add_argument("--bound", type=int, required=True, help="largest base enumerated")
+    p_sweep.add_argument("--bound", type=int, required=True,
+                         help=f"largest base enumerated, at most {MAX_BOUND}")
+    p_sweep.set_defaults(handler=_cmd_sweep)
     add_format(p_sweep)
 
     p_sigma = sub.add_parser("sigma", help="Bockstein basis of a group expression")
     p_sigma.add_argument("group")
+    p_sigma.set_defaults(handler=_cmd_sigma)
     add_format(p_sigma)
 
     return parser
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
         if sep:
@@ -101,7 +119,15 @@ def _parse_n_range(text: str) -> list[int]:
         raise ValidityError(f"--n bound longer than {MAX_DIGITS} digits")
     if last < first:
         raise ValidityError(f"empty range {text!r}")
-    return list(range(first, last + 1))
+    if last - first >= MAX_N_RUNS:
+        raise ValidityError(f"--n range longer than {MAX_N_RUNS} values")
+    return range(first, last + 1)
+
+
+def _at_most(cap: int, option: str, value: int) -> int:
+    if value > cap:
+        raise ValidityError(f"{option} is at most {cap}, got {value}")
+    return value
 
 
 def _cmd_eval(args) -> int:
@@ -123,7 +149,8 @@ def _resolve_scenario(name: str) -> Scenario:
 
 def _cmd_verify(args) -> int:
     if args.scenario == "laws":
-        report = check_algebra_laws(seed=args.seed, samples=args.samples)
+        report = check_algebra_laws(
+            seed=args.seed, samples=_at_most(MAX_SAMPLES, "--samples", args.samples))
         print(report.render(args.format))
         return 0 if report.passed else 1
     scenario = _resolve_scenario(args.scenario)
@@ -138,7 +165,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = cube_theorem_sweep(args.n, args.bound)
+    report = cube_theorem_sweep(args.n, _at_most(MAX_BOUND, "--bound", args.bound))
     print(report.render(args.format))
     return 0 if report.passed else 1
 
@@ -158,14 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse usage errors already print; keep code 2
         return 2 if exit_.code else 0
-    handler = {
-        "eval": _cmd_eval,
-        "verify": _cmd_verify,
-        "sweep": _cmd_sweep,
-        "sigma": _cmd_sigma,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except (ParseError, TypeMismatchError, ValidityError, EvaluationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

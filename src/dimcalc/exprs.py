@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple
 
 from .decorated import (
@@ -69,6 +69,7 @@ from .groups import (
 MAX_DIGITS = 1000  # longest number literal or product
 _NUMBER_LIMIT = 10**MAX_DIGITS
 MAX_DEPTH = 200  # deepest nesting of brackets and unary minus, and of a parse tree
+FORMATS = ("pretty", "structured")  # output formats of values and reports
 
 
 def _where(line: int, column: int) -> str:
@@ -596,14 +597,11 @@ def render(value, format: str = "pretty") -> str:
 
 
 def formatted(format: str, pretty, tree) -> str:
-    """Text in one output format: ``pretty()`` for "pretty", the JSON of
-    ``tree()`` for "structured"; values and reports both render here, and
-    any other format is a ValueError."""
-    if format == "pretty":
-        return pretty()
-    if format == "structured":
-        return json.dumps(tree(), sort_keys=True)
-    raise ValueError(f"unknown format {format!r}")
+    """Text in one of FORMATS, ``pretty()`` or the JSON of ``tree()``; values
+    and reports both render here.  Any other format is a ValueError."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}")
+    return pretty() if format == "pretty" else json.dumps(tree(), sort_keys=True)
 
 
 def _pretty(value) -> str:
@@ -636,13 +634,7 @@ def to_json(value):
             "exceptions": {str(p): to_json(e) for p, e in value.exceptions},
         }
     if isinstance(value, SigmaSet):
-        return {
-            "kind": "sigma-set",
-            "rationals": value.rationals,
-            "cyclic": _predicate_tree(value.cyclic),
-            "circle": _predicate_tree(value.circle),
-            "localized": _predicate_tree(value.localized),
-        }
+        return {"kind": "sigma-set", **fields_tree(value)}
     if isinstance(value, GroupExpr):
         return {"kind": "group", "text": str(value)}
     if isinstance(value, BocksteinGroup):
@@ -650,5 +642,17 @@ def to_json(value):
     raise ValueError(f"cannot render {value!r}")
 
 
-def _predicate_tree(pred):
-    return {"default": pred.default, "exceptions": sorted(pred.exceptions)}
+def fields_tree(record) -> dict:
+    """The fields of a dataclass as a JSON tree: a nested dataclass becomes
+    its own tree, a tuple a list and a frozenset a sorted list."""
+    return {f.name: _field_json(getattr(record, f.name)) for f in fields(record)}
+
+
+def _field_json(value):
+    if is_dataclass(value):
+        return fields_tree(value)
+    if isinstance(value, tuple):
+        return [_field_json(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value

@@ -31,6 +31,7 @@ from .exprs import (
     ParseError,
     apply_comparison,
     evaluate_expr,
+    fields_tree,
     formatted,
     free_parameters,
     parse,
@@ -279,16 +280,7 @@ class SweepReport(_Report):
         return "\n".join(lines)
 
     def tree(self) -> dict:
-        return {
-            "kind": "sweep-report",
-            "n": self.n,
-            "base_bound": self.base_bound,
-            "dim2_count": self.dim2_count,
-            "fiber_count": self.fiber_count,
-            "pairs_checked": self.pairs_checked,
-            "passed": self.passed,
-            "counterexamples": list(self.counterexamples),
-        }
+        return {"kind": "sweep-report", "passed": self.passed, **fields_tree(self)}
 
 
 def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
@@ -464,21 +456,10 @@ class LawReport(_Report):
         return "\n".join(lines)
 
     def tree(self) -> dict:
-        return {
-            "kind": "law-report",
-            "seed": self.seed,
-            "samples": self.samples,
-            "passed": self.passed,
-            "laws": [
-                {
-                    "name": law.name,
-                    "checked": law.checked,
-                    "passed": law.passed,
-                    "failures": list(law.failures),
-                }
-                for law in self.laws
-            ],
-        }
+        tree = {"kind": "law-report", "passed": self.passed, **fields_tree(self)}
+        for law, law_tree in zip(self.laws, tree["laws"]):
+            law_tree["passed"] = law.passed
+        return tree
 
 
 _MAX_RECORDED_FAILURES = 5

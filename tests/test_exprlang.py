@@ -372,6 +372,36 @@ class TestNBoundCap:
         assert err == "" and f"lhs = 1{'9' * 999}8\n" in out
 
 
+class TestNRange:
+    """An --n range holds at most 1000 values, and a negative lower bound
+    takes the --n=A..B form."""
+
+    def claims(self, tmp_path):
+        path = tmp_path / "zero.claims"
+        path.write_text("n - n == 0\n", encoding="utf-8")
+        return str(path)
+
+    def test_range_at_the_cap_runs(self, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.claims(tmp_path), "--n", "1..1000"]) == 0
+        assert capsys.readouterr().out.count("result: pass") == 1000
+
+    def test_range_above_the_cap_exits_two(self, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.claims(tmp_path), "--n", "1..1001"]) == 2
+        assert capsys.readouterr() == ("", "error: --n range longer than 1000 values\n")
+
+    def test_negative_lower_bound_with_equals(self, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.claims(tmp_path), "--n=-3..3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("result: pass") == 7
+        assert "[n=-3]" in out and "[n=3]" in out
+
+    def test_negative_lower_bound_as_a_separate_word(self, tmp_path, capsys):
+        # argparse reads "-3..3" as an option, prints usage and exits 2
+        assert main(["verify", "--scenario", self.claims(tmp_path), "--n", "-3..3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: argument --n: expected one argument\n")
+
+
 def test_expression_after_double_dash(capsys):
     assert main(["eval", "--", "-1+2"]) == 0
     assert capsys.readouterr() == ("1\n", "")

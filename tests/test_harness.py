@@ -1,6 +1,7 @@
 """Verification harness: bounds, scenarios, the cube sweep, and the law checker."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -40,6 +41,7 @@ from dimcalc import (
     union_bound,
 )
 from dimcalc.cli import main
+from dimcalc.exprs import to_json
 from dimcalc.harness import LawReport, LawResult, SweepReport
 
 D1 = evaluate_expr(parse("DT{q=2; *=3-}"))
@@ -476,3 +478,95 @@ class TestRandomGenerators:
                 random_dimension_type(random.Random(0), max_base=max_base)
             with pytest.raises(ValidityError, match="max_base >= 1"):
                 random_type_above(random.Random(0), constant(0), max_base=max_base)
+
+
+def json_ready(tree):
+    """The tree, after checking that it is plain JSON: lists, not tuples."""
+    assert tree == json.loads(json.dumps(tree))
+    return tree
+
+
+SCENARIO_KEYS = {"kind", "scenario", "bindings", "passed", "claims"}
+CLAIM_KEYS = {"text", "op", "passed", "lhs", "rhs"}
+SWEEP_KEYS = {"kind", "passed", "n", "base_bound", "dim2_count", "fiber_count",
+              "pairs_checked", "counterexamples"}
+LAW_REPORT_KEYS = {"kind", "passed", "seed", "samples", "laws"}
+LAW_KEYS = {"name", "checked", "passed", "failures"}
+SIGMA_KEYS = {"kind", "rationals", "cyclic", "circle", "localized"}
+PREDICATE_KEYS = {"default", "exceptions"}
+
+
+class TestTrees:
+    """Report and sigma-set trees are JSON-ready, with their keys pinned,
+    for passing and failing reports alike."""
+
+    @pytest.mark.parametrize("text, passed", [("C(2) boxplus C(3) == C(5)", True),
+                                              ("B(4) == C(4)", False)])
+    def test_scenario_report(self, text, passed):
+        tree = json_ready(run_scenario(Scenario.from_text("one", text + "\n")).tree())
+        assert set(tree) == SCENARIO_KEYS and tree["passed"] is passed
+        (claim,) = tree["claims"]
+        assert set(claim) == CLAIM_KEYS and claim["passed"] is passed
+
+    def test_passing_sweep_report(self):
+        tree = json_ready(cube_theorem_sweep(6, 8).tree())
+        assert set(tree) == SWEEP_KEYS
+        assert tree["counterexamples"] == [] and tree["passed"] is True
+
+    def test_failing_sweep_report(self):
+        report = SweepReport(6, 8, 9, 50, 450, ("shift bound: x", "product dimension: y"))
+        assert json_ready(report.tree()) == {
+            "kind": "sweep-report", "passed": False, "n": 6, "base_bound": 8,
+            "dim2_count": 9, "fiber_count": 50, "pairs_checked": 450,
+            "counterexamples": ["shift bound: x", "product dimension: y"]}
+
+    def test_passing_law_report(self):
+        tree = json_ready(check_algebra_laws(seed=1, samples=5).tree())
+        assert set(tree) == LAW_REPORT_KEYS and tree["passed"] is True
+        assert len(tree["laws"]) == 10
+        assert all(set(law) == LAW_KEYS and law["failures"] == [] for law in tree["laws"])
+
+    def test_failing_law_report(self):
+        report = LawReport(0, 5, (LawResult("boxplus-commutes", 5, ("a=..., b=...",)),
+                                  LawResult("star-involutes", 5, ())))
+        assert json_ready(report.tree()) == {
+            "kind": "law-report", "passed": False, "seed": 0, "samples": 5, "laws": [
+                {"name": "boxplus-commutes", "checked": 5, "passed": False,
+                 "failures": ["a=..., b=..."]},
+                {"name": "star-involutes", "checked": 5, "passed": True, "failures": []}]}
+
+    def test_sigma_set(self):
+        tree = json_ready(to_json(evaluate_expr(parse("sigma(Z/12 + Zpinf(5) + Q + Z/2)"))))
+        assert tree == {
+            "kind": "sigma-set", "rationals": True,
+            "cyclic": {"default": False, "exceptions": [2, 3]},
+            "circle": {"default": False, "exceptions": [5]},
+            "localized": {"default": False, "exceptions": []}}
+        tree = json_ready(to_json(evaluate_expr(parse("sigma(Z^1 + Zpinf(7))"))))
+        assert set(tree) == SIGMA_KEYS
+        assert all(set(tree[kind]) == PREDICATE_KEYS for kind in ("cyclic", "circle", "localized"))
+        assert tree["localized"]["default"] is True
+
+
+class TestWorkCaps:
+    """Each CLI work cap: just above it is one error line with exit 2,
+    before any of the work is done."""
+
+    def error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        return err
+
+    def test_sweep_bound(self, capsys):
+        err = self.error(["sweep", "--cube", "--n", "6", "--bound", "101"], capsys)
+        assert err == "error: --bound is at most 100, got 101\n"
+
+    def test_sweep_bound_at_the_cap_runs(self, capsys):
+        # no fiber type reaches constant(198), so only the grid is built
+        assert main(["sweep", "--cube", "--n", "200", "--bound", "100"]) == 0
+        assert "pairs checked: 0" in capsys.readouterr().out
+
+    def test_law_samples(self, capsys):
+        err = self.error(["verify", "--scenario", "laws", "--samples", "10001"], capsys)
+        assert err == "error: --samples is at most 10000, got 10001\n"

@@ -168,6 +168,13 @@ def _dual_combine(a: Decoration, b: Decoration) -> Decoration:
     return a.flipped.combine(b.flipped).flipped
 
 
+# Each sign rule tabulated once over the nine pairs of marks, so an entry
+# sum looks its mark up instead of calling the enum.
+_PRODUCT = {(a, b): a.combine(b) for a in Decoration for b in Decoration}
+_DUAL = {(a, b): _dual_combine(a, b) for a in Decoration for b in Decoration}
+_FLIP = {m: m.flipped for m in Decoration}
+
+
 @dataclass(frozen=True, order=True)
 class DecoratedNumber:
     """A base value with a singularity mark: 3-, 3, 3+ or inf+.
@@ -200,7 +207,7 @@ class DecoratedNumber:
 
     def shifted(self, n: int) -> "DecoratedNumber":
         """Same mark, base raised by n."""
-        return DecoratedNumber(self.base + n, self.decoration)
+        return decorated_number(self.base + n, self.decoration)
 
     def starred(self) -> "DecoratedNumber":
         """Mirror image; undefined at 0+ and inf+."""
@@ -208,7 +215,16 @@ class DecoratedNumber:
             return self
         if self.decoration is Decoration.PLUS and (self.base == 0 or self.base is INF):
             raise NotRepresentableError(f"{self} has no mirror image")
-        return DecoratedNumber(self.base, self.decoration.flipped)
+        return decorated_number(self.base, _FLIP[self.decoration])
+
+
+# The one memo of decorated numbers: each distinct (base, mark) among the
+# 4096 most recent is validated by the constructor once.  typed=True keeps
+# 1 apart from True and Decoration.NONE apart from 0, so a hit is never a
+# value the constructor would reject; exceptions are not cached, so a
+# rejected value raises on every call.  Callers pass the mark explicitly;
+# input from outside, which may be unhashable, goes to DecoratedNumber.
+decorated_number = lru_cache(maxsize=4096, typed=True)(DecoratedNumber)
 
 
 class BasisKind(Enum):
@@ -297,7 +313,7 @@ class DimensionType:
         rational = as_extnat(rational, "value at Q")
         if not isinstance(default, DecoratedNumber):
             raise ValidityError(f"default entry must be a DecoratedNumber, got {default!r}")
-        self._check_entry(default, rational, "default entry")
+        self._check_entry(default, rational)
         entries: dict[int, DecoratedNumber] = {}
         if exceptions is not None:
             items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
@@ -307,7 +323,7 @@ class DimensionType:
                     raise ValidityError(f"duplicate exception at prime {p}")
                 if not isinstance(entry, DecoratedNumber):
                     raise ValidityError(f"entry at {p} must be a DecoratedNumber, got {entry!r}")
-                self._check_entry(entry, rational, f"entry at {p}")
+                self._check_entry(entry, rational, p)
                 entries[p] = entry
         self.rational = rational
         self.default = default
@@ -315,8 +331,10 @@ class DimensionType:
         self.exceptions = tuple(sorted((p, e) for p, e in entries.items() if e != default))
 
     @staticmethod
-    def _check_entry(entry: DecoratedNumber, rational: ExtNat, what: str) -> None:
+    def _check_entry(entry: DecoratedNumber, rational: ExtNat, p: int | None = None) -> None:
+        # p is the exception prime, None for the default entry
         if entry.decoration is Decoration.NONE and entry.base != rational:
+            what = "default entry" if p is None else f"entry at {p}"
             raise ValidityError(
                 f"{what} {entry} is undecorated but differs from the value {rational} at Q"
             )
@@ -410,10 +428,10 @@ class DimensionType:
 
         def entry_sum(a: DecoratedNumber, b: DecoratedNumber) -> DecoratedNumber:
             base = a.base + b.base
-            sign = sign_rule(a.decoration, b.decoration)
+            sign = sign_rule[a.decoration, b.decoration]
             if base is INF and sign is Decoration.MINUS:
                 sign = Decoration.PLUS  # inf- and inf+ are the same pattern
-            return DecoratedNumber(base, sign)
+            return decorated_number(base, sign)
 
         return DimensionType(
             self.rational + other.rational,
@@ -423,7 +441,7 @@ class DimensionType:
 
     def boxplus(self, other: "DimensionType") -> "DimensionType":
         """Product sum: values at Q add, bases add, signs multiply."""
-        return self._combine(other, Decoration.combine)
+        return self._combine(other, _PRODUCT)
 
     def oplus(self, other: "DimensionType") -> "DimensionType":
         """Dual sum, the mirror conjugate of :meth:`boxplus`: bases add
@@ -431,7 +449,7 @@ class DimensionType:
         both operands are."""
         self._require_starrable()
         other._require_starrable()
-        return self._combine(other, _dual_combine)
+        return self._combine(other, _DUAL)
 
     def _require_starrable(self) -> None:
         for e in (self.default, *(e for _, e in self.exceptions)):
@@ -447,7 +465,7 @@ class DimensionType:
         return DimensionType(
             self.rational,
             self.default.starred(),
-            {p: e.starred() for p, e in self.exceptions},
+            [(p, e.starred()) for p, e in self.exceptions],
         )
 
     def __add__(self, n: int) -> "DimensionType":
@@ -459,7 +477,7 @@ class DimensionType:
         return DimensionType(
             self.rational + n,
             self.default.shifted(n),
-            {p: e.shifted(n) for p, e in self.exceptions},
+            [(p, e.shifted(n)) for p, e in self.exceptions],
         )
 
     # -- predicates ------------------------------------------------------
@@ -487,7 +505,7 @@ class DimensionType:
 def constant(n: ExtNat) -> DimensionType:
     """The type with value n at every group of the family."""
     n = as_extnat(n, "constant value")
-    return DimensionType(n, DecoratedNumber(n))
+    return DimensionType(n, decorated_number(n, Decoration.NONE))
 
 
 def boltyanskii_type(n: int) -> DimensionType:

@@ -24,6 +24,7 @@ from .decorated import (
     DimensionType,
     ValidityError,
     constant,
+    decorated_number,
 )
 from .exprs import (
     EvaluationError,
@@ -332,11 +333,11 @@ def _random_entry(
 ) -> DecoratedNumber:
     roll = rng.randrange(3)
     if roll == 0:
-        return DecoratedNumber(q)
+        return decorated_number(q, Decoration.NONE)
     if roll == 1:
         low = 1 if star_safe else 0
-        return DecoratedNumber(rng.randint(low, max_base), Decoration.PLUS)
-    return DecoratedNumber(rng.randint(1, max_base), Decoration.MINUS)
+        return decorated_number(rng.randint(low, max_base), Decoration.PLUS)
+    return decorated_number(rng.randint(1, max_base), Decoration.MINUS)
 
 
 def random_dimension_type(
@@ -386,15 +387,15 @@ def random_type_above(
                  and not (star_safe and m is Decoration.PLUS and e.base == 0)]
         k = rng.randrange(len(first) + 2 * (top - e.base) + (e.base < q2))
         if k < len(first):
-            return DecoratedNumber(e.base, first[k])
+            return decorated_number(e.base, first[k])
         k -= len(first)
         if e.base < q2:
             bare = 2 * (q2 - e.base) - 1
             if k == bare:
-                return DecoratedNumber(q2)
+                return decorated_number(q2, Decoration.NONE)
             if k > bare:
                 k -= 1
-        return DecoratedNumber(
+        return decorated_number(
             e.base + 1 + k // 2, Decoration.PLUS if k % 2 else Decoration.MINUS)
 
     return DimensionType(

@@ -16,8 +16,10 @@ from dimcalc import (
     NotRepresentableError,
     ValidityError,
     boltyanskii_type,
+    check_algebra_laws,
     constant,
 )
+from dimcalc.decorated import decorated_number
 from support import (
     dim_oracle,
     dimension_types,
@@ -158,6 +160,45 @@ class TestDecorationAlgebra:
         assert PLUS.flipped is MINUS
         assert MINUS.flipped is PLUS
         assert NONE.flipped is NONE
+
+
+class TestDecoratedNumberMemo:
+    """``decorated_number`` is the constructor behind one bounded memo: a
+    hit is a value the constructor accepted, and a rejection repeats."""
+
+    def test_bounded_and_typed(self):
+        assert decorated_number.cache_parameters() == {"maxsize": 4096, "typed": True}
+
+    def test_hit_is_the_constructors_value(self):
+        first = decorated_number(3, MINUS)
+        assert decorated_number(3, MINUS) is first
+        assert first == DecoratedNumber(3, MINUS)
+
+    @pytest.mark.parametrize("good, bad", [((1, NONE), (True, NONE)),
+                                           ((3, NONE), (3, 0))], ids=repr)
+    def test_equal_key_of_another_type_is_not_a_hit(self, good, bad):
+        decorated_number(*good)
+        with pytest.raises(ValidityError):
+            decorated_number(*bad)
+
+    def test_rejection_repeats(self):
+        for _ in range(2):
+            with pytest.raises(ValidityError):
+                decorated_number(0, MINUS)
+
+    def test_law_suite_builds_each_entry_once(self, monkeypatch):
+        # counts __init__ calls where bench/tracing.py does, so a call site
+        # that builds through DecoratedNumber directly shows as a repeat
+        decorated_number.cache_clear()
+        init, built = DecoratedNumber.__init__, []
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((self.base, self.decoration))
+
+        monkeypatch.setattr(DecoratedNumber, "__init__", counted)
+        check_algebra_laws(seed=1, samples=200)
+        assert len(built) == len(set(built)) > 0
 
 
 class TestDimensionTypeForm:

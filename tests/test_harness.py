@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from dimcalc import (
     union_bound,
 )
 from dimcalc.cli import main
-from dimcalc.exprs import to_json
+from dimcalc.exprs import fields_tree, to_json
 from dimcalc.harness import LawReport, LawResult, SweepReport
 
 D1 = evaluate_expr(parse("DT{q=2; *=3-}"))
@@ -534,6 +535,15 @@ class TestTrees:
                 {"name": "boxplus-commutes", "checked": 5, "passed": False,
                  "failures": ["a=..., b=..."]},
                 {"name": "star-involutes", "checked": 5, "passed": True, "failures": []}]}
+
+    def test_fields_tree_keys_are_the_record_fields(self):
+        sigma = evaluate_expr(parse("sigma(Z/12 + Zpinf(5) + Q + Z/2)"))
+        laws = check_algebra_laws(seed=1, samples=2)
+        records = (sigma, sigma.cyclic, cube_theorem_sweep(6, 8), laws, laws.laws[0])
+        assert [type(r).__name__ for r in records] == [
+            "SigmaSet", "PrimePredicate", "SweepReport", "LawReport", "LawResult"]
+        for record in records:
+            assert list(fields_tree(record)) == [f.name for f in fields(record)]
 
     def test_sigma_set(self):
         tree = json_ready(to_json(evaluate_expr(parse("sigma(Z/12 + Zpinf(5) + Q + Z/2)"))))

@@ -1,0 +1,92 @@
+"""The calculus against the plain-tuple model of ``bench/oracles.py``.
+
+The model is written from the definitions with no dimcalc arithmetic:
+entries are ``(base, sign)`` pairs and each sign rule is its own small
+function.  Here it is loaded by path, read-only, and every operation on
+hypothesis-drawn finite types must give the model's text, JSON tree and
+dimension, and be undefined exactly where the model is.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dimcalc import Decoration, NotRepresentableError
+from dimcalc.decorated import _DUAL, _FLIP, _PRODUCT
+from dimcalc.exprs import to_json
+from support import dimension_types
+
+ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+
+
+def load_oracles():
+    spec = importlib.util.spec_from_file_location("dimcalc_bench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = load_oracles()
+
+TYPES = st.one_of(dimension_types(), dimension_types(star_safe=True))
+
+
+def model_of(d):
+    entry = lambda e: (e.base, int(e.decoration))
+    return oracles.Model.make(
+        d.rational, entry(d.default), {p: entry(e) for p, e in d.exceptions})
+
+
+def assert_agrees(operation, model_operation):
+    """Both sides give the same value, or both have none."""
+    try:
+        expected = model_operation()
+    except oracles.ModelError:
+        with pytest.raises(NotRepresentableError):
+            operation()
+        return
+    value = operation()
+    assert str(value) == expected.text()
+    assert to_json(value) == expected.tree()
+    assert value.dim() == expected.dim()
+
+
+def test_sign_tables_match_the_model():
+    pairs = [(a, b) for a in Decoration for b in Decoration]
+    assert len(_PRODUCT) == len(_DUAL) == 9
+    for a, b in pairs:
+        assert _PRODUCT[a, b] is Decoration(oracles._sign_product(int(a), int(b)))
+        assert _DUAL[a, b] is Decoration(oracles._dual_sign(int(a), int(b)))
+    assert {m: -m for m in Decoration} == _FLIP
+
+
+@given(TYPES)
+def test_value_dim_text_and_tree(d):
+    m = model_of(d)
+    assert (str(d), to_json(d), d.dim()) == (m.text(), m.tree(), m.dim())
+
+
+@given(TYPES, TYPES)
+def test_boxplus(a, b):
+    assert_agrees(lambda: a.boxplus(b), lambda: oracles.boxplus(model_of(a), model_of(b)))
+
+
+@given(TYPES, TYPES)
+def test_oplus(a, b):
+    assert_agrees(lambda: a.oplus(b), lambda: oracles.oplus(model_of(a), model_of(b)))
+
+
+@given(TYPES)
+def test_star(d):
+    assert_agrees(d.star, lambda: oracles.star(model_of(d)))
+
+
+@given(TYPES, st.integers(0, 12))
+def test_shift(d, k):
+    assert_agrees(lambda: d + k, lambda: oracles.shift(model_of(d), k))

@@ -168,6 +168,10 @@ def _dual_combine(a: Decoration, b: Decoration) -> Decoration:
     return a.flipped.combine(b.flipped).flipped
 
 
+# Reading a member off the enum class runs a descriptor (about 0.2 us in
+# Python 3.11), so the code below the enum reads the marks from these names.
+_MINUS, _NONE, _PLUS = Decoration.MINUS, Decoration.NONE, Decoration.PLUS
+
 # Each sign rule tabulated once over the nine pairs of marks, so an entry
 # sum looks its mark up instead of calling the enum.
 _PRODUCT = {(a, b): a.combine(b) for a in Decoration for b in Decoration}
@@ -199,7 +203,7 @@ class DecoratedNumber:
         as_extnat(self.base, "base")
         if not isinstance(self.decoration, Decoration):
             raise ValidityError(f"decoration must be a Decoration, got {self.decoration!r}")
-        if self.decoration is Decoration.MINUS and (self.base == 0 or self.base is INF):
+        if self.decoration is _MINUS and (self.base == 0 or self.base is INF):
             raise ValidityError(f"{self.base}- is not a representable decorated number")
 
     def __str__(self) -> str:
@@ -211,9 +215,9 @@ class DecoratedNumber:
 
     def starred(self) -> "DecoratedNumber":
         """Mirror image; undefined at 0+ and inf+."""
-        if self.decoration is Decoration.NONE:
+        if self.decoration is _NONE:
             return self
-        if self.decoration is Decoration.PLUS and (self.base == 0 or self.base is INF):
+        if self.decoration is _PLUS and (self.base == 0 or self.base is INF):
             raise NotRepresentableError(f"{self} has no mirror image")
         return decorated_number(self.base, _FLIP[self.decoration])
 
@@ -243,6 +247,7 @@ class BasisKind(Enum):
 
 
 _PRIME_KINDS = tuple(BasisKind)[1:]
+_LOCALIZED = _PRIME_KINDS.index(BasisKind.LOCALIZED)
 
 
 @dataclass(frozen=True)
@@ -279,6 +284,20 @@ class BocksteinGroup:
         return self.kind.value.format(p=self.prime)
 
 
+def _undecorated_error(what: str, entry: DecoratedNumber, rational: ExtNat) -> ValidityError:
+    return ValidityError(
+        f"{what} {entry} is undecorated but differs from the value {rational} at Q")
+
+
+def _entry_sum(a: DecoratedNumber, b: DecoratedNumber, sign_rule) -> DecoratedNumber:
+    # one entry of a sum: bases add, the mark is looked up in sign_rule
+    base = a.base + b.base
+    sign = sign_rule[a.decoration, b.decoration]
+    if base is INF and sign is _MINUS:
+        sign = _PLUS  # inf- and inf+ are the same pattern
+    return decorated_number(base, sign)
+
+
 class DimensionType:
     """A dimension type with finite support: the value at Q, a default
     prime entry, and decorated exceptions at finitely many primes.
@@ -288,6 +307,13 @@ class DimensionType:
     dropped, so ``==`` between instances decides equality as functions on
     the Bockstein family.  Calling an instance on a :class:`BocksteinGroup`
     gives its value there.
+
+    The exceptions may be given as a mapping from primes to entries or as
+    an iterable of ``(prime, entry)`` pairs, in any order.  Every key is
+    checked to be a prime that occurs once, and every entry to be a valid
+    :class:`DecoratedNumber`, including an entry equal to the default,
+    which is then dropped.  ``exceptions`` holds the rest as a tuple of
+    ``(prime, entry)`` pairs sorted by prime.
 
     >>> d = DimensionType(2, DecoratedNumber(3, Decoration.MINUS))
     >>> print(d)
@@ -310,34 +336,36 @@ class DimensionType:
         default: DecoratedNumber,
         exceptions: Mapping[int, DecoratedNumber] | Iterable[tuple[int, DecoratedNumber]] | None = None,
     ):
-        rational = as_extnat(rational, "value at Q")
+        if type(rational) is not int or rational < 0:
+            rational = as_extnat(rational, "value at Q")
         if not isinstance(default, DecoratedNumber):
             raise ValidityError(f"default entry must be a DecoratedNumber, got {default!r}")
-        self._check_entry(default, rational)
-        entries: dict[int, DecoratedNumber] = {}
+        if default.decoration is _NONE and default.base != rational:
+            raise _undecorated_error("default entry", default, rational)
+        kept: list[tuple[int, DecoratedNumber]] = []
+        in_order = True
         if exceptions is not None:
-            items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
-            for p, entry in items:
+            if type(exceptions) is not list and isinstance(exceptions, Mapping):
+                exceptions = exceptions.items()
+            seen: set[int] = set()
+            last = 0
+            for p, entry in exceptions:
                 require_prime(p, "exception key")
-                if p in entries:
+                if p in seen:
                     raise ValidityError(f"duplicate exception at prime {p}")
+                seen.add(p)
                 if not isinstance(entry, DecoratedNumber):
                     raise ValidityError(f"entry at {p} must be a DecoratedNumber, got {entry!r}")
-                self._check_entry(entry, rational, p)
-                entries[p] = entry
+                if entry.decoration is _NONE and entry.base != rational:
+                    raise _undecorated_error(f"entry at {p}", entry, rational)
+                # an exception equal to the default carries no information
+                if entry != default:
+                    kept.append((p, entry))
+                    in_order = in_order and last < p
+                    last = p
         self.rational = rational
         self.default = default
-        # exceptions equal to the default carry no information: drop them
-        self.exceptions = tuple(sorted((p, e) for p, e in entries.items() if e != default))
-
-    @staticmethod
-    def _check_entry(entry: DecoratedNumber, rational: ExtNat, p: int | None = None) -> None:
-        # p is the exception prime, None for the default entry
-        if entry.decoration is Decoration.NONE and entry.base != rational:
-            what = "default entry" if p is None else f"entry at {p}"
-            raise ValidityError(
-                f"{what} {entry} is undecorated but differs from the value {rational} at Q"
-            )
+        self.exceptions = tuple(kept) if in_order else tuple(sorted(kept))
 
     def entry(self, p: int) -> DecoratedNumber:
         """Decorated value at the prime p."""
@@ -351,10 +379,28 @@ class DimensionType:
         return tuple(p for p, _ in self.exceptions)
 
     def _paired(self, other: "DimensionType"):
-        # (p, entry here, entry there) at each exception prime of either side
-        mine, theirs = dict(self.exceptions), dict(other.exceptions)
-        for p in sorted(mine.keys() | theirs.keys()):
-            yield p, mine.get(p, self.default), theirs.get(p, other.default)
+        # (p, entry here, entry there) at each exception prime of either
+        # side, in increasing p: one merge walk over the two exceptions
+        # tuples, which the constructor stores sorted by prime
+        mine, theirs = self.exceptions, other.exceptions
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            p, a = mine[i]
+            q, b = theirs[j]
+            if p == q:
+                yield p, a, b
+                i += 1
+                j += 1
+            elif p < q:
+                yield p, a, other.default
+                i += 1
+            else:
+                yield q, self.default, b
+                j += 1
+        for p, a in mine[i:]:
+            yield p, a, other.default
+        for q, b in theirs[j:]:
+            yield q, self.default, b
 
     def __eq__(self, other):
         if not isinstance(other, DimensionType):
@@ -382,9 +428,9 @@ class DimensionType:
 
     def _values_at(self, e: DecoratedNumber) -> tuple[ExtNat, ExtNat, ExtNat]:
         # The values encoded by one entry, one per prime kind in BasisKind order.
-        if e.decoration is Decoration.NONE:
+        if e.decoration is _NONE:
             return e.base, e.base, e.base
-        if e.decoration is Decoration.PLUS:
+        if e.decoration is _PLUS:
             return e.base, e.base, max(self.rational, e.base + 1)
         return e.base, e.base - 1, max(self.rational, e.base)
 
@@ -399,13 +445,20 @@ class DimensionType:
     def dim(self) -> ExtNat:
         """Largest value attained over the whole family.
 
+        The one fact used: the value at Z_(p), the last of the three that
+        ``_values_at`` reads from an entry, is at least the other two and
+        the value at Q.  So the dimension is the largest value at Z_(p)
+        over the default and the exceptions.
+
         >>> boltyanskii_type(6).dim()
         6
         """
-        values: list[ExtNat] = [self.rational]
-        for e in (self.default, *(e for _, e in self.exceptions)):
-            values.extend(self._values_at(e))
-        return max(values)
+        top = self._values_at(self.default)[_LOCALIZED]
+        for _, e in self.exceptions:
+            value = self._values_at(e)[_LOCALIZED]
+            if top < value:
+                top = value
+        return top
 
     # -- order ---------------------------------------------------------
 
@@ -425,18 +478,12 @@ class DimensionType:
     def _combine(self, other: "DimensionType", sign_rule) -> "DimensionType":
         if not isinstance(other, DimensionType):
             raise TypeError(f"expected a DimensionType, got {other!r}")
-
-        def entry_sum(a: DecoratedNumber, b: DecoratedNumber) -> DecoratedNumber:
-            base = a.base + b.base
-            sign = sign_rule[a.decoration, b.decoration]
-            if base is INF and sign is Decoration.MINUS:
-                sign = Decoration.PLUS  # inf- and inf+ are the same pattern
-            return decorated_number(base, sign)
-
         return DimensionType(
             self.rational + other.rational,
-            entry_sum(self.default, other.default),
-            [(p, entry_sum(a, b)) for p, a, b in self._paired(other)],
+            _entry_sum(self.default, other.default, sign_rule),
+            # the sum of two uniform types is uniform: nothing to walk
+            [(p, _entry_sum(a, b, sign_rule)) for p, a, b in self._paired(other)]
+            if self.exceptions or other.exceptions else None,
         )
 
     def boxplus(self, other: "DimensionType") -> "DimensionType":
@@ -453,7 +500,7 @@ class DimensionType:
 
     def _require_starrable(self) -> None:
         for e in (self.default, *(e for _, e in self.exceptions)):
-            if e.decoration is Decoration.PLUS and (e.base == 0 or e.base is INF):
+            if e.decoration is _PLUS and (e.base == 0 or e.base is INF):
                 raise NotRepresentableError(f"{self} has an entry {e} with no mirror image")
 
     def star(self) -> "DimensionType":
@@ -505,7 +552,7 @@ class DimensionType:
 def constant(n: ExtNat) -> DimensionType:
     """The type with value n at every group of the family."""
     n = as_extnat(n, "constant value")
-    return DimensionType(n, decorated_number(n, Decoration.NONE))
+    return DimensionType(n, decorated_number(n, _NONE))
 
 
 def boltyanskii_type(n: int) -> DimensionType:
@@ -517,4 +564,4 @@ def boltyanskii_type(n: int) -> DimensionType:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidityError(f"the ceiling type needs an integer n >= 1, got {n!r}")
-    return DimensionType(n - 1, DecoratedNumber(n - 1, Decoration.PLUS))
+    return DimensionType(n - 1, DecoratedNumber(n - 1, _PLUS))

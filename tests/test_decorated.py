@@ -19,7 +19,7 @@ from dimcalc import (
     check_algebra_laws,
     constant,
 )
-from dimcalc.decorated import decorated_number
+from dimcalc.decorated import PRIME_BOUND, as_extnat, decorated_number
 from support import (
     dim_oracle,
     dimension_types,
@@ -245,6 +245,68 @@ class TestDimensionTypeForm:
         d = DimensionType(0, DecoratedNumber(0, PLUS))
         assert d(BocksteinGroup.localized(2)) == 1
         assert d.dim() == 1
+
+
+class _Int(int):
+    """An int subclass other than bool."""
+
+
+E = DecoratedNumber(1, PLUS)
+
+
+class TestConstructorContract:
+    """What ``DimensionType`` accepts, what it checks and how it stores it."""
+
+    @given(dimension_types(), st.randoms(use_true_random=False))
+    def test_any_order_and_container(self, d, rng):
+        # one pair equal to the default, which is checked and then dropped
+        pairs = [*d.exceptions, (11, d.default)]
+        shuffled = pairs[:]
+        rng.shuffle(shuffled)
+        forms = [dict(pairs), sorted(pairs), pairs[::-1], shuffled, (pair for pair in pairs)]
+        for form in forms:
+            built = DimensionType(d.rational, d.default, form)
+            assert built == d
+            assert built.exceptions == tuple(sorted(d.exceptions))
+
+    @pytest.mark.parametrize("exceptions", [{4: D1.default}, [(5, D1.default), (5, D1.default)],
+                                            [(PRIME_BOUND, D1.default)]], ids=repr)
+    def test_entry_equal_to_default_is_checked(self, exceptions):
+        with pytest.raises(ValidityError):
+            DimensionType(2, D1.default, exceptions)
+
+    def test_bool_rejected_other_int_subclasses_as_as_extnat(self):
+        with pytest.raises(ValidityError):
+            DimensionType(True, DecoratedNumber(1))
+        with pytest.raises(ValidityError):
+            DimensionType(2, D1.default, {True: E})
+        q = _Int(2)
+        d = DimensionType(q, DecoratedNumber(2), {_Int(5): E})
+        assert d.rational is as_extnat(q) and d.exceptions == ((5, E),)
+        with pytest.raises(ValidityError, match="^value at Q must be >= 0, got -1$"):
+            DimensionType(_Int(-1), DecoratedNumber(1, PLUS))
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1, E), "value at Q must be >= 0, got -1"),
+        ((2.0, E), "value at Q must be a non-negative integer or inf, got 2.0"),
+        (("2", E), "value at Q must be a non-negative integer or inf, got '2'"),
+        ((2, 2), "default entry must be a DecoratedNumber, got 2"),
+        ((2, D1.default, {3: 1}), "entry at 3 must be a DecoratedNumber, got 1"),
+        ((2, D1.default, {4: E}), "exception key must be a prime number, got 4"),
+        ((2, D1.default, {2.0: E}), "exception key must be a prime number, got 2.0"),
+        ((2, D1.default, [(3, E), (2, E), (3, E)]), "duplicate exception at prime 3"),
+        ((2, DecoratedNumber(5)),
+         "default entry 5 is undecorated but differs from the value 2 at Q"),
+        ((2, D1.default, {3: DecoratedNumber(1)}),
+         "entry at 3 1 is undecorated but differs from the value 2 at Q"),
+        ((2, D1.default, {PRIME_BOUND: E}),
+         f"cannot decide whether {PRIME_BOUND} is prime: candidates must be below "
+         f"{PRIME_BOUND}"),
+    ])
+    def test_rejection_messages(self, args, message):
+        with pytest.raises(ValidityError) as caught:
+            DimensionType(*args)
+        assert str(caught.value) == message
 
 
 class TestEvaluate:

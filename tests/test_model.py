@@ -4,10 +4,12 @@ The model is written from the definitions with no dimcalc arithmetic:
 entries are ``(base, sign)`` pairs and each sign rule is its own small
 function.  Here it is loaded by path, read-only, and every operation on
 hypothesis-drawn finite types must give the model's text, JSON tree and
-dimension, and be undefined exactly where the model is.
+dimension, and be undefined exactly where the model is.  ``<=`` and
+``==`` must agree with the model's values compared one by one.
 """
 
 import importlib.util
+import operator
 import sys
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from dimcalc import Decoration, NotRepresentableError
 from dimcalc.decorated import _DUAL, _FLIP, _PRODUCT
 from dimcalc.exprs import to_json
-from support import dimension_types
+from dimcalc import DimensionType
+from support import decorated_entries, dimension_types
 
 ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
 
@@ -90,3 +93,43 @@ def test_star(d):
 @given(TYPES, st.integers(0, 12))
 def test_shift(d, k):
     assert_agrees(lambda: d + k, lambda: oracles.shift(model_of(d), k))
+
+
+# Exception primes of the two sides of a compared pair, one set per shape.
+SHAPES = {
+    "disjoint": ((2, 5), (3, 7)),
+    "overlapping": ((2, 3, 5), (3, 5, 7)),
+    "left empty": ((), (2, 3)),
+    "right empty": ((5, 7), ()),
+    "both empty": ((), ()),
+}
+GENERIC_PRIME = 11  # marked by no type drawn here
+
+
+@st.composite
+def types_marked_at(draw, primes, max_base=4):
+    """A type with an exception, other than its default, at each of primes."""
+    q = draw(st.integers(0, max_base))
+    default = draw(decorated_entries(q, max_base))
+    other = decorated_entries(q, max_base).filter(lambda e: e != default)
+    return DimensionType(q, default, {p: draw(other) for p in primes})
+
+
+def value_by_value(x, y, compare):
+    """compare holds at Q and at every value of every prime of x or y."""
+    primes = sorted(x.primes() | y.primes()) + [GENERIC_PRIME]
+    return compare(x.q, y.q) and all(
+        compare(u, v)
+        for p in primes
+        for u, v in zip(x.values_at(x.entry(p)), y.values_at(y.entry(p))))
+
+
+@pytest.mark.parametrize("mine, theirs", SHAPES.values(), ids=SHAPES)
+@given(st.data())
+def test_le_and_eq(mine, theirs, data):
+    a, b = data.draw(types_marked_at(mine)), data.draw(types_marked_at(theirs))
+    x, y = model_of(a), model_of(b)
+    assert (x.primes(), y.primes()) == (set(mine), set(theirs))
+    assert (a <= b) == value_by_value(x, y, operator.le)
+    assert (b <= a) == value_by_value(y, x, operator.le)
+    assert (a == b) == value_by_value(x, y, operator.eq)

@@ -17,10 +17,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dimcalc import Decoration, NotRepresentableError
+from dimcalc import Decoration, DimensionType, NotRepresentableError
 from dimcalc.decorated import _DUAL, _FLIP, _PRODUCT
 from dimcalc.exprs import to_json
-from dimcalc import DimensionType
 from support import decorated_entries, dimension_types
 
 ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"

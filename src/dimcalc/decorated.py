@@ -147,7 +147,7 @@ class Decoration(IntEnum):
 
     @property
     def symbol(self) -> str:
-        return {Decoration.MINUS: "-", Decoration.NONE: "", Decoration.PLUS: "+"}[self]
+        return _SYMBOLS[self]
 
     @property
     def flipped(self) -> "Decoration":
@@ -169,14 +169,18 @@ def _dual_combine(a: Decoration, b: Decoration) -> Decoration:
 
 
 # Reading a member off the enum class runs a descriptor (about 0.2 us in
-# Python 3.11), so the code below the enum reads the marks from these names.
-_MINUS, _NONE, _PLUS = Decoration.MINUS, Decoration.NONE, Decoration.PLUS
+# Python 3.11), so every module reads the marks from these names, and
+# iterates them, in order, as _MARKS.
+_MINUS, _NONE, _PLUS = _MARKS = tuple(Decoration)
+
+# The text of each mark, the one table that printing and parsing read.
+_SYMBOLS = {_MINUS: "-", _NONE: "", _PLUS: "+"}
 
 # Each sign rule tabulated once over the nine pairs of marks, so an entry
 # sum looks its mark up instead of calling the enum.
-_PRODUCT = {(a, b): a.combine(b) for a in Decoration for b in Decoration}
-_DUAL = {(a, b): _dual_combine(a, b) for a in Decoration for b in Decoration}
-_FLIP = {m: m.flipped for m in Decoration}
+_PRODUCT = {(a, b): a.combine(b) for a in _MARKS for b in _MARKS}
+_DUAL = {(a, b): _dual_combine(a, b) for a in _MARKS for b in _MARKS}
+_FLIP = {m: m.flipped for m in _MARKS}
 
 
 @dataclass(frozen=True, order=True)
@@ -207,7 +211,7 @@ class DecoratedNumber:
             raise ValidityError(f"{self.base}- is not a representable decorated number")
 
     def __str__(self) -> str:
-        return f"{self.base}{self.decoration.symbol}"
+        return f"{self.base}{_SYMBOLS[self.decoration]}"
 
     def shifted(self, n: int) -> "DecoratedNumber":
         """Same mark, base raised by n."""
@@ -564,4 +568,4 @@ def boltyanskii_type(n: int) -> DimensionType:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidityError(f"the ceiling type needs an integer n >= 1, got {n!r}")
-    return DimensionType(n - 1, DecoratedNumber(n - 1, _PLUS))
+    return DimensionType(n - 1, decorated_number(n - 1, _PLUS))

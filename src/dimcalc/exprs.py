@@ -44,10 +44,11 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple
 
 from .decorated import (
+    _NONE,
+    _SYMBOLS,
     INF,
     BocksteinGroup,
     DecoratedNumber,
-    Decoration,
     DimensionType,
     ValidityError,
     boltyanskii_type,
@@ -215,7 +216,8 @@ _CALLS = {
     "dim": ("dim", "dimension type"), "sigma": ("sigma", "group"),
 }
 _RESERVED = {"DT", "Q", "Z", "pres", "inf", "boxplus", "oplus", *_CALLS}
-_SIGNS = {"+": Decoration.PLUS, "-": Decoration.MINUS}
+# the text of each mark read back: the inverse of decorated's one table
+_SIGNS = {text: mark for mark, text in _SYMBOLS.items()}
 
 
 def _found(tok: Token) -> str:
@@ -425,8 +427,8 @@ class _Parser:
 
     def decorated(self) -> Expr:
         base = self.integer()
-        decoration = _SIGNS.get(self.peek().text, Decoration.NONE)
-        if decoration is not Decoration.NONE:
+        decoration = _SIGNS.get(self.peek().text, _NONE)
+        if decoration is not _NONE:
             self.advance()
         return Expr("decnum", (base, decoration), base.line, base.column)
 

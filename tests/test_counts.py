@@ -1,11 +1,16 @@
-"""Work counts of the core calculus, held under pinned ceilings.
+"""Work counts of the calculus, the language and groups, held under pinned ceilings.
 
 Wall time on a shared host swings too much to gate a change that adds
 work; call counts do not.  ``bench/tracing.py``'s ``instrument`` (loaded
 by path, read-only) records one span per call of each function it lists,
-and two seeded runs are counted with the decorated-number memo cleared
-first: a 200-sample law suite and the n = 6 cube sweep.  A ceiling may be
-lowered when a change removes work, and is never raised.
+and four fixed runs are counted with the decorated-number memo cleared
+first: a 200-sample law suite, the n = 6 cube sweep, a language batch
+and a groups batch.  A ceiling may be lowered when a change removes
+work, and is never raised.
+
+The batches call every span target as ``dimcalc.<module>.<name>`` at
+call time: a name imported here before ``instrument`` runs would bypass
+its span.
 """
 
 from collections import Counter
@@ -14,19 +19,60 @@ import pytest
 
 import dimcalc.cli  # noqa: F401  (instrument patches every module it lists)
 from dimcalc import check_algebra_laws, cube_theorem_sweep
-from dimcalc.decorated import decorated_number
+from dimcalc.decorated import Decoration, decorated_number
 from test_tracing import load_tracing
+
+# the texts of the README's eval and sigma examples
+README_EVALS = ("dim(B(4) boxplus B(4))", "(DT{q=2; *=3-} oplus DT{q=2; *=1+}) + 1 == B(6)",
+                "-1+2")
+README_SIGMAS = ("Z/2 + Z/12",)
+
+
+def language_batch():
+    exprs, harness = dimcalc.exprs, dimcalc.harness
+    reports = [harness.run_scenario(harness.builtin_scenario("section4"), {"n": n})
+               for n in range(6, 9)]
+    values = [exprs.evaluate_expr(exprs.parse(text)) for text in README_EVALS]
+    values += [dimcalc.groups.bockstein_basis(exprs.evaluate_expr(exprs.parse(text)))
+               for text in README_SIGMAS]
+    for format in exprs.FORMATS:
+        for report in reports:
+            report.render(format)
+        for value in values:
+            exprs.render(value, format)
+
+
+def groups_batch():
+    decorated, groups = dimcalc.decorated, dimcalc.groups
+    # DT{q=2; *=3-; 5=1+} with Z/12 + Zpinf(5) + Zloc(7) + Z
+    d = decorated.DimensionType(2, decorated.DecoratedNumber(3, Decoration.MINUS),
+                                {5: decorated.DecoratedNumber(1, Decoration.PLUS)})
+    groups.dim_with_coefficients(
+        d, groups.Cyclic(12) + groups.PadicCircle(5) + groups.LocalizedIntegers(7)
+        + groups.Free(1))
+    # the five bases of acceptance criterion 3
+    for group in (groups.Free(1), groups.Rationals(), groups.PadicCircle(7),
+                  groups.Cyclic(2) + groups.Cyclic(12), groups.PadicCircle(3) + groups.Cyclic(3)):
+        groups.bockstein_basis(group)
+
 
 RUNS = {
     "laws": lambda: check_algebra_laws(seed=1, samples=200),
     "sweep": lambda: cube_theorem_sweep(6, 8),
+    "language": language_batch,
+    "groups": groups_batch,
 }
 
 CEILINGS = {
     "laws": {"decorated.construct": 9001, "decorated.is_prime": 18608,
-             "decorated.dim": 0, "decorated.le": 600},
+             "decorated.dim": 0, "decorated.le": 600, "decorated.decnum": 97},
     "sweep": {"decorated.construct": 649, "decorated.is_prime": 0,
-              "decorated.dim": 477, "decorated.le": 170},
+              "decorated.dim": 477, "decorated.le": 170, "decorated.decnum": 32},
+    "language": {"exprs.parse": 10, "exprs.evaluate": 134, "decorated.construct": 35,
+                 "decorated.is_prime": 25, "groups.predicate": 15, "decorated.decnum": 23},
+    # the dim_with_coefficients example alone makes 26 predicates
+    "groups": {"exprs.parse": 0, "exprs.evaluate": 0, "decorated.construct": 1,
+               "decorated.is_prime": 111, "groups.predicate": 67, "decorated.decnum": 2},
 }
 
 

@@ -363,6 +363,28 @@ class TestAlgebraLaws:
         assert "a=..., b=..." in text
         assert text.splitlines()[-1] == "result: FAIL (0/1 laws)"
 
+    def test_operand_stream_is_pinned(self, monkeypatch):
+        # the report's hash covers names, counts and failures only, so
+        # while every law passes a reordered draw would go unseen
+        import dimcalc.harness as harness
+
+        drawn = []
+
+        def recorded(generate):
+            def wrapper(*args, **kwargs):
+                result = generate(*args, **kwargs)
+                drawn.append(str(result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(harness, "random_dimension_type",
+                            recorded(harness.random_dimension_type))
+        monkeypatch.setattr(harness, "random_type_above", recorded(harness.random_type_above))
+        assert check_algebra_laws(seed=1, samples=50).passed
+        assert len(drawn) == 1100
+        assert hashlib.sha256("\n".join(drawn).encode()).hexdigest() == (
+            "aaa536af88a6bca5192262331eafe951bc038ac184ca201ac32298c7ab2dc9c3")
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_samples_rejected(self, samples, capsys):
         with pytest.raises(ValidityError, match="samples >= 1"):

@@ -230,8 +230,8 @@ class DecoratedNumber:
 # 4096 most recent is validated by the constructor once.  typed=True keeps
 # 1 apart from True and Decoration.NONE apart from 0, so a hit is never a
 # value the constructor would reject; exceptions are not cached, so a
-# rejected value raises on every call.  Callers pass the mark explicitly;
-# input from outside, which may be unhashable, goes to DecoratedNumber.
+# rejected value raises on every call.  Each entry the package builds, parsed
+# ones too, comes from here; DecoratedNumber(...) is only the public constructor.
 decorated_number = lru_cache(maxsize=4096, typed=True)(DecoratedNumber)
 
 

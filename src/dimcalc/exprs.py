@@ -26,13 +26,13 @@ power tighter, so chains associate to the left:
     NUM        := [0-9]+        name := [A-Za-z_][A-Za-z0-9_]*
 
 Integer subexpressions may contain free parameters (any non-reserved
-name); they are bound at evaluation time.  Literals with no parameters
-are validated once, during parsing, and keep their value, so a malformed
-type never survives to evaluation.  Numbers have at most MAX_DIGITS
-digits and nesting is at most MAX_DEPTH deep.  A longer product is an
-evaluation error at its '*': sums grow by at most one digit per
-operator, so products are the only way past that cap.  Every diagnostic
-carries a 1-based line and column.
+name), each bound to an integer or inf at evaluation time.  Literals with
+no parameters are validated once, during parsing, and keep their value,
+so a malformed type never survives to evaluation.  Numbers have at most
+MAX_DIGITS digits and nesting is at most MAX_DEPTH deep.  A longer
+product is an evaluation error at its '*': sums grow by at most one
+digit per operator, so products are the only way past that cap.  Every
+diagnostic carries a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .decorated import (
     ValidityError,
     boltyanskii_type,
     constant,
+    decorated_number,
     require_prime,
 )
 from .groups import (
@@ -512,7 +513,11 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
             case "param":
                 if bindings is None or args[0] not in bindings:
                     raise EvaluationError(f"unbound parameter {args[0]!r}")
-                return bindings[args[0]]
+                value = bindings[args[0]]
+                if value is not INF and (isinstance(value, bool) or not isinstance(value, int)):
+                    raise EvaluationError(
+                        f"parameter {args[0]!r} must be an integer or inf, got {value!r}")
+                return value
             case "add":
                 return ev(args[0], bindings) + ev(args[1], bindings)
             case "sub":
@@ -538,8 +543,8 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
                 q, default, entries = args
                 return DimensionType(
                     ev(q, bindings),
-                    DecoratedNumber(ev(default.args[0], bindings), default.args[1]),
-                    {p: DecoratedNumber(ev(e.args[0], bindings), e.args[1]) for p, e in entries})
+                    decorated_number(ev(default.args[0], bindings), default.args[1]),
+                    {p: decorated_number(ev(e.args[0], bindings), e.args[1]) for p, e in entries})
             case "bn":
                 return boltyanskii_type(ev(args[0], bindings))
             case "const":

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Sequence
 
 from .decorated import (
@@ -62,10 +64,10 @@ class PrimePredicate:
         return PrimePredicate(default, flipped)
 
     def __and__(self, other: "PrimePredicate") -> "PrimePredicate":
-        return self._pointwise(other, lambda a, b: a and b)
+        return self._pointwise(other, and_)
 
     def __or__(self, other: "PrimePredicate") -> "PrimePredicate":
-        return self._pointwise(other, lambda a, b: a or b)
+        return self._pointwise(other, or_)
 
     def __invert__(self) -> "PrimePredicate":
         return PrimePredicate(not self.default, self.exceptions)
@@ -281,7 +283,11 @@ def _prime_factors(n: int) -> set[int]:
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    """The four per-prime facts that determine a Bockstein basis."""
+    """The four per-prime facts that determine a Bockstein basis.
+
+    Invariant, met by every ``profile`` case and kept by a direct sum: zero
+    p-torsion is p-divisible; a zero torsion-free quotient is divisible at all p.
+    """
 
     free_quotient_nonzero: bool
     free_quotient_divisible: PrimePredicate
@@ -312,19 +318,13 @@ def profile(group: GroupExpr) -> StructuralProfile:
                 rank > 0, _ALWAYS if rank == 0 else _NEVER, torsion, ~torsion
             )
         case DirectSum(parts=parts):
+            # a sum is p-divisible exactly when every summand is: the free
+            # quotient and p-torsion both split across summands
             profiles = [profile(part) for part in parts]
-            fq_nonzero = any(pr.free_quotient_nonzero for pr in profiles)
-            fq_div = _ALWAYS
-            t_nonzero = _NEVER
-            t_div = _ALWAYS
-            for pr in profiles:
-                # a sum is p-divisible exactly when every summand is: the
-                # free quotient and p-torsion both split across summands
-                if pr.free_quotient_nonzero:
-                    fq_div = fq_div & pr.free_quotient_divisible
-                t_nonzero = t_nonzero | pr.torsion_nonzero
-                t_div = t_div & (pr.torsion_divisible | ~pr.torsion_nonzero)
-            return StructuralProfile(fq_nonzero, fq_div, t_nonzero, t_div)
+            free = [pr.free_quotient_divisible for pr in profiles if pr.free_quotient_nonzero]
+            return StructuralProfile(bool(free), reduce(and_, free) if free else _ALWAYS,
+                                     reduce(or_, [pr.torsion_nonzero for pr in profiles]),
+                                     reduce(and_, [pr.torsion_divisible for pr in profiles]))
         case _:
             raise TypeError(f"not a coefficient group: {group!r}")
 
@@ -379,9 +379,9 @@ def bockstein_basis(group: GroupExpr) -> SigmaSet:
 
     Membership is decided per prime from the structural profile: Z_(p)
     enters when the torsion-free quotient is not p-divisible, Z/p when
-    the p-torsion is nonzero and not p-divisible, Z_{p^inf} when it is
-    nonzero and p-divisible, and Q when the torsion-free quotient is
-    nonzero and divisible at every prime.
+    the p-torsion is not p-divisible (non-divisible torsion is nonzero),
+    Z_{p^inf} when it is nonzero and p-divisible, and Q when the
+    torsion-free quotient is nonzero and divisible at every prime.
 
     >>> print(bockstein_basis(Rationals()))
     {Q}
@@ -390,7 +390,7 @@ def bockstein_basis(group: GroupExpr) -> SigmaSet:
     """
     pr = profile(group)
     rationals = pr.free_quotient_nonzero and pr.free_quotient_divisible.always()
-    cyclic = pr.torsion_nonzero & ~pr.torsion_divisible
+    cyclic = ~pr.torsion_divisible
     circle = pr.torsion_nonzero & pr.torsion_divisible
     localized = ~pr.free_quotient_divisible if pr.free_quotient_nonzero else _NEVER
     return SigmaSet(rationals, cyclic, circle, localized)
@@ -408,7 +408,8 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
 
     The supremum over sigma(G) only needs the finitely many primes marked
     in either the type or the basis, plus one generic prime standing for
-    all the rest.
+    all the rest, where the type reads its default.  Each prime's entry is
+    read once: its three values pair with ``sigma._by_kind()`` in order.
 
     >>> dim_with_coefficients(DimensionType(2, DecoratedNumber(3, Decoration.MINUS)), Free(1))
     3
@@ -417,8 +418,6 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     values: list[ExtNat] = [d.rational] if sigma.rationals else []
     marked = tuple(sorted({*d.exception_primes(), *sigma.exception_primes()}))
     by_kind = sigma._by_kind()
-    for p in (*marked, _generic_prime(marked)):
-        for kind, pred in by_kind:
-            if pred(p):
-                values.append(d(BocksteinGroup(kind, p)))
+    for p, e in [(p, d.entry(p)) for p in marked] + [(_generic_prime(marked), d.default)]:
+        values += [value for (_, pred), value in zip(by_kind, d._values_at(e)) if pred(p)]
     return max(values, default=0)

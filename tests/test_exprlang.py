@@ -275,6 +275,15 @@ class TestPositionedEvaluation:
     def test_unbound_parameter(self):
         assert self.place("2 * (n + 1)", EvaluationError) == (1, 6)
 
+    @pytest.mark.parametrize("value", [2.5, True, "7", [1]], ids=repr)
+    @pytest.mark.parametrize("text, column", [("n + 1", 1), ("C(n)", 3), ("{q=n; *=n}", 4)])
+    def test_parameter_must_be_an_integer_or_inf(self, text, column, value):
+        with pytest.raises(EvaluationError) as info:
+            ev(text, n=value)
+        assert str(info.value) == (f"parameter 'n' must be an integer or inf, got {value!r}"
+                                   f" (line 1, column {column})")
+        assert (info.value.line, info.value.column) == (1, column)
+
     def test_literal_keeps_its_value(self):
         expr = parse("DT{q=2; *=3-; 5=1+}")
         assert expr.value == evaluate_expr(expr)

@@ -1,7 +1,9 @@
 """Bockstein bases, structural profiles, and Smith normal form."""
 
 import itertools
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -442,3 +444,90 @@ class TestDimWithCoefficients:
 
 def _freeze(matrix):
     return tuple(tuple(row) for row in matrix)
+
+
+# one strategy per case of profile; Presented draws 1-3 generators and up to
+# three relations, so its torsion and rank both vary
+LEAF_GROUPS = st.one_of(
+    st.just(Rationals()),
+    st.builds(Free, st.integers(0, 3)),
+    st.builds(Cyclic, st.integers(2, 400)),
+    st.builds(PadicCircle, st.sampled_from(ORACLE_PRIMES)),
+    st.builds(LocalizedIntegers, st.sampled_from(ORACLE_PRIMES)),
+    st.integers(1, 3).flatmap(lambda g: st.builds(
+        Presented, st.just(g),
+        st.lists(st.tuples(*[st.integers(-12, 12)] * g), max_size=3).map(tuple))),
+)
+
+
+def _sums(parts):
+    # `+` flattens its operands; DirectSum(...) built directly may nest
+    return st.one_of(
+        st.lists(parts, min_size=2, max_size=4).map(lambda ps: reduce(operator.add, ps)),
+        st.lists(parts, min_size=2, max_size=3).map(lambda ps: DirectSum(tuple(ps))))
+
+
+GROUP_EXPRS = st.recursive(LEAF_GROUPS, _sums, max_leaves=8)
+# above every prime factor of a drawn group: moduli are at most 400, and an
+# invariant factor of a drawn presentation at most 3! * 12**3
+GENERIC_PRIME = 100003
+
+
+def exception_primes(pr):
+    return set().union(*(pred.exceptions for pred in (
+        pr.free_quotient_divisible, pr.torsion_nonzero, pr.torsion_divisible)))
+
+
+def subexpressions(group):
+    """The group and, for a sum, every summand at every depth."""
+    yield group
+    if isinstance(group, DirectSum):
+        for part in group.parts:
+            yield from subexpressions(part)
+
+
+def flattened(group):
+    """The same group with every nested direct sum spread into one."""
+    if not isinstance(group, DirectSum):
+        return group
+    leaves = [leaf for part in group.parts
+              for leaf in (flattened(part).parts if isinstance(part, DirectSum) else (part,))]
+    return DirectSum(tuple(leaves))
+
+
+class TestProfileInvariant:
+    """Zero p-torsion is p-divisible and a zero torsion-free quotient is
+    divisible at every prime, for every case of profile and every sum."""
+
+    @given(GROUP_EXPRS)
+    def test_invariant_and_nested_sums(self, group):
+        for part in subexpressions(group):
+            pr = profile(part)
+            primes = (*sorted(exception_primes(pr)), GENERIC_PRIME)
+            for p in primes:
+                assert pr.torsion_nonzero(p) or pr.torsion_divisible(p), (part, p)
+            if not pr.free_quotient_nonzero:
+                assert pr.free_quotient_divisible.always(), part
+            # the rule for Z/p before the invariant was stated, kept as the reference
+            assert bockstein_basis(part).cyclic == pr.torsion_nonzero & ~pr.torsion_divisible
+            assert profile(flattened(part)) == pr
+            if isinstance(part, DirectSum):
+                # pointwise from the summands, with no invariant assumed
+                summands = [profile(leaf) for leaf in flattened(part).parts]
+                free = [sp for sp in summands if sp.free_quotient_nonzero]
+                assert pr.free_quotient_nonzero == bool(free)
+                for p in {*primes, *(q for sp in summands for q in exception_primes(sp))}:
+                    assert pr.torsion_nonzero(p) == any(sp.torsion_nonzero(p) for sp in summands)
+                    assert pr.torsion_divisible(p) == all(
+                        sp.torsion_divisible(p) or not sp.torsion_nonzero(p) for sp in summands)
+                    assert pr.free_quotient_divisible(p) == all(
+                        sp.free_quotient_divisible(p) for sp in free)
+
+    @given(dimension_types(), GROUP_EXPRS)
+    def test_dim_matches_reduction_oracle(self, d, group):
+        assert dim_with_coefficients(d, group) == reduction_oracle(d, group)
+
+    def test_flattened_spreads_nested_sums(self):
+        nested = DirectSum((DirectSum((Cyclic(2), Free(1))), PadicCircle(3)))
+        assert flattened(nested) == Cyclic(2) + Free(1) + PadicCircle(3)
+        assert profile(nested) == profile(flattened(nested))

@@ -1,10 +1,13 @@
-"""Every module reads the singularity marks by the names ``decorated`` binds.
+"""Every module reads the singularity marks by the names ``decorated`` binds,
+and builds decorated numbers through its one memo.
 
 ``decorated`` spells the marks once, as ``_MINUS, _NONE, _PLUS = _MARKS``.
 Outside it, code that reads a member off the ``Decoration`` class or
 iterates the class states the marks a second time (and runs the enum's
-descriptor on each read).  Annotations name only the class, and doctests
-are string constants, so neither is looked at.
+descriptor on each read).  Likewise a call of ``DecoratedNumber(...)``
+outside ``decorated`` bypasses ``decorated_number``, the memo that
+validates each entry once.  Annotations and ``isinstance`` tests name
+only the class, and doctests are string constants, so none is looked at.
 """
 
 import ast
@@ -52,4 +55,32 @@ def test_the_guard_sees_reads_and_iterations():
         "line 3: Decoration.NONE", "line 3: iteration over Decoration",
         "line 4: iteration over Decoration",
         "line 6: Decoration.MINUS", "line 6: tuple(Decoration)",
+    ]
+
+
+def entry_constructor_calls(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "DecoratedNumber":
+                found.append(f"line {node.lineno}: DecoratedNumber(...)")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_entries_are_built_through_the_memo(module):
+    assert entry_constructor_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_sees_constructor_calls():
+    source = '''def f(e: DecoratedNumber, m) -> DecoratedNumber:
+    """>>> DecoratedNumber(1)"""
+    if isinstance(e, DecoratedNumber):
+        return decorated_number(1, m)
+    return DecoratedNumber(2, m), decorated.DecoratedNumber(3, m)
+'''
+    assert sorted(entry_constructor_calls(source)) == [
+        "line 5: DecoratedNumber(...)", "line 5: DecoratedNumber(...)",
     ]

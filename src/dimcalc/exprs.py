@@ -117,24 +117,27 @@ class Token(NamedTuple):
     column: int
 
 
-# one alternative per token kind, in the order of _TOKEN_KINDS; anything
-# else that is not whitespace is an unexpected character
-_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(==|<=|[{}()\[\];,=+\-*/^<>])|(\S)")
-_TOKEN_KINDS = (None, "num", "name", "op", "bad")
+# Token character classes, written once.  _REJECT finds a row's first character
+# no token holds, or first number (from a digit no word character precedes)
+# over MAX_DIGITS; _TOKEN cuts a row without either, one alternative per kind.
+# Two end tokens close the list, as the parser looks one token past the first.
+_DIGIT, _WORD, _OPS = "0-9", "A-Za-z0-9_", r"{}()\[\];,=+\-*/^<>"
+_TOKEN = re.compile(rf"([{_DIGIT}]+)|([A-Za-z_][{_WORD}]*)|(==|<=|[{_OPS}])")
+_TOKEN_KINDS = (None, "num", "name", "op")
+_REJECT = re.compile(rf"([^\s{_WORD}{_OPS}])|(?<![{_WORD}])[{_DIGIT}]{{{MAX_DIGITS + 1}}}")
+_new = tuple.__new__  # what Token() calls, without its Python frame
 
 
 def _tokenize(text: str, start_line: int = 1) -> list[Token]:
     tokens: list[Token] = []
     for line, row in enumerate(text.split("\n"), start_line):
-        for match in _TOKEN.finditer(row):
-            kind, word, column = _TOKEN_KINDS[match.lastindex], match.group(), match.start() + 1
-            if kind == "bad":
-                raise ParseError(f"unexpected character {word!r}", line, column)
-            if kind == "num" and len(word) > MAX_DIGITS:
-                raise ParseError(f"number longer than {MAX_DIGITS} digits", line, column)
-            tokens.append(Token(kind, word, line, column))
-    tokens.append(Token("end", "", line, len(row) + 1))
-    return tokens
+        if trouble := _REJECT.search(row):
+            message = (f"unexpected character {trouble[1]!r}" if trouble[1]
+                       else f"number longer than {MAX_DIGITS} digits")
+            raise ParseError(message, line, trouble.start() + 1)
+        tokens += [_new(Token, (_TOKEN_KINDS[m.lastindex], m.group(), line, m.start() + 1))
+                   for m in _TOKEN.finditer(row)]
+    return tokens + [Token("end", "", line, len(row) + 1)] * 2
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,6 @@ class _Parser:
         self.params = 0  # parameter names read so far
         self.depth = 0  # primaries open now: brackets, unary minus, literals
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "end":
@@ -256,7 +256,7 @@ class _Parser:
         return True
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {_found(tok)}", tok.line, tok.column)
         return self.advance()
@@ -280,17 +280,17 @@ class _Parser:
         ``min_power``."""
         mixing = None  # the first of 'boxplus' and 'oplus' in this chain
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             op = tok.text
             power = _POWER.get(op, 0)
             if power < min_power:
                 return left
-            if power == 3 and not _starts_term(self.peek(1)):
+            if power == 3 and not _starts_term(self.tokens[self.pos + 1]):
                 return left  # a trailing sign is a decoration, not an operator
             self.advance()
             at = (tok.line, tok.column)
             if power == 4:
-                if _starts_term(self.peek()):
+                if _starts_term(self.tokens[self.pos]):
                     rhs = self.primary()
                     need = "'*' multiplies integers, not {} values"
                     left = Expr("mul", (_need(left, "integer", need, tok),
@@ -412,7 +412,7 @@ class _Parser:
         default = self.decorated()
         entries: dict[int, Expr] = {}
         while self.accept(";"):
-            key = self.peek()
+            key = self.tokens[self.pos]
             prime = self.number("prime key")
             try:
                 require_prime(prime, "exception key")
@@ -428,7 +428,7 @@ class _Parser:
 
     def decorated(self) -> Expr:
         base = self.integer()
-        decoration = _SIGNS.get(self.peek().text, _NONE)
+        decoration = _SIGNS.get(self.tokens[self.pos].text, _NONE)
         if decoration is not _NONE:
             self.advance()
         return Expr("decnum", (base, decoration), base.line, base.column)
@@ -441,7 +441,7 @@ class _Parser:
             while True:
                 self.expect("[")
                 row: list[Expr] = []
-                if self.peek().text != "]":
+                if self.tokens[self.pos].text != "]":
                     row.append(self.integer())
                     while self.accept(","):
                         row.append(self.integer())
@@ -469,10 +469,10 @@ def parse(text: str, start_line: int = 1) -> Expr:
     tokens = _tokenize(text, start_line)
     parser = _Parser(tokens)
     node = parser.climb(parser.primary(), 1)
-    tok = parser.peek()
+    tok = parser.tokens[parser.pos]
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    if len(tokens) > MAX_DEPTH:  # a tree has at most one node per token
+    if len(tokens) - 2 > MAX_DEPTH:  # at most one node per token before the ends
         _check_depth(node)
     return node
 
@@ -517,7 +517,7 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
                 if value is not INF and (isinstance(value, bool) or not isinstance(value, int)):
                     raise EvaluationError(
                         f"parameter {args[0]!r} must be an integer or inf, got {value!r}")
-                return value
+                return value if value is INF else int(value)
             case "add":
                 return ev(args[0], bindings) + ev(args[1], bindings)
             case "sub":

@@ -10,6 +10,7 @@ oracle.
 from __future__ import annotations
 
 import math
+import string
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -155,3 +156,34 @@ def dominating_pairs(draw, max_base=12, star_safe=False):
     high = DimensionType(
         high_q, above(low.default), {p: above(e) for p, e in low.exceptions})
     return low, high
+
+
+def tokens_by_hand(text: str, start_line: int = 1):
+    """The (kind, text, line, column) of each token of ``text`` and of its end,
+    read one character at a time, or the message of the first error.  Digits
+    and names are ASCII, and a number has at most 1000 digits."""
+    word = string.ascii_letters + string.digits + "_"
+    tokens = []
+    for line, row in enumerate(text.split("\n"), start_line):
+        i = 0
+        while i < len(row):
+            c, j = row[i], i + 1
+            if c.isspace():
+                i = j
+                continue
+            if c in string.digits:
+                kind, more = "num", string.digits
+            elif c in word:  # a letter or '_'
+                kind, more = "name", word
+            elif c in "{}()[];,=+-*/^<>":
+                kind, more = "op", ""
+                j += row[i:i + 2] in ("==", "<=")
+            else:
+                return f"unexpected character {c!r} (line {line}, column {i + 1})"
+            while j < len(row) and row[j] in more:
+                j += 1
+            if kind == "num" and j - i > 1000:
+                return f"number longer than 1000 digits (line {line}, column {i + 1})"
+            tokens.append((kind, row[i:j], line, i + 1))
+            i = j
+    return tokens + [("end", "", line, len(row) + 1)]

@@ -1,5 +1,6 @@
 """Parsing, evaluation, kinds, diagnostics, and rendering."""
 
+import enum
 import json
 import re
 
@@ -34,7 +35,8 @@ from dimcalc import (
     render,
 )
 from dimcalc.cli import main
-from support import dimension_types
+from dimcalc.exprs import _tokenize
+from support import dimension_types, tokens_by_hand
 
 MINUS, PLUS = Decoration.MINUS, Decoration.PLUS
 
@@ -248,6 +250,75 @@ class TestDiagnostics:
             ev("C(1) + n", n=-2)
 
 
+class TestTokens:
+    """Digits and names are ASCII, and any other character no token holds is
+    an error at its column.  A number starts at a digit that no word
+    character precedes.  Rows are read in order, and the leftmost trouble in
+    a row is the one reported."""
+
+    def error(self, text, start_line=1):
+        with pytest.raises(ParseError) as info:
+            parse(text, start_line)
+        return str(info.value)
+
+    @pytest.mark.parametrize("text, column", [("B(¹)", 3), ("1 + ٣", 5), ("né", 2), ("é", 1)])
+    def test_non_ascii_is_an_unexpected_character(self, text, column):
+        assert self.error(text) == (f"unexpected character {text[column - 1]!r}"
+                                    f" (line 1, column {column})")
+
+    @pytest.mark.parametrize("start", ["x", "_", "x2"])
+    def test_digits_after_a_name_character_are_the_name(self, start):
+        name = start + "1" * 1001
+        assert free_parameters(parse(f"1 + {name}")) == {name}
+
+    def test_numbers_up_to_the_cap(self):
+        assert ev("1" * 1000) == int("1" * 1000)
+        assert self.error("2 + " + "1" * 1001) == (
+            "number longer than 1000 digits (line 1, column 5)")
+
+    LONG = "1" * 1001
+
+    @pytest.mark.parametrize("text, message", [
+        (f"2 + {LONG} + é", "number longer than 1000 digits (line 1, column 5)"),
+        (f"2 + é + {LONG}", "unexpected character 'é' (line 1, column 5)"),
+        (f"é{LONG}", "unexpected character 'é' (line 1, column 1)"),
+        (f"C(1) <=\n2 + {LONG}\n@", "number longer than 1000 digits (line 2, column 5)"),
+        (f"C(1) <=\n2 + @\n{LONG}", "unexpected character '@' (line 2, column 5)"),
+    ], ids=["number first", "character first", "character before digits",
+            "number on an earlier row", "character on an earlier row"])
+    def test_leftmost_trouble_wins(self, text, message):
+        assert self.error(text) == message
+
+    def test_rows_count_from_start_line(self):
+        assert self.error("C(1) boxplus\nC(2) @ 1", start_line=3) == (
+            "unexpected character '@' (line 4, column 6)")
+        assert self.error("(1 +\n" + self.LONG, start_line=3) == (
+            "number longer than 1000 digits (line 4, column 1)")
+
+    def test_end_of_input_follows_the_last_row(self):
+        assert self.error("(1\n+2") == "expected ')', found end of input (line 2, column 3)"
+        assert self.error("(1\n+2\n", start_line=5) == (
+            "expected ')', found end of input (line 7, column 1)")
+
+    # the language benchmark's mutation alphabet, with the characters and
+    # digit runs that decide between a token and an error
+    PIECES = st.one_of(
+        st.sampled_from("0123456789+-*/(){}[];=<>,^ abdeilmnopqsuxzBCDQTZ_\n\t¹٣²é@"),
+        st.integers(999, 1002).map(lambda n: "7" * n))
+
+    @given(st.lists(PIECES, max_size=40).map("".join), st.integers(1, 3))
+    def test_tokenize_matches_the_character_reading(self, text, start_line):
+        expected = tokens_by_hand(text, start_line)
+        try:
+            found = [tuple(tok) for tok in _tokenize(text, start_line)]
+        except ParseError as err:
+            found = str(err)
+        else:
+            assert found[-1] == found[-2]  # the end token, twice
+            found.pop()
+        assert found == expected
+
+
 class TestPositionedEvaluation:
     """Errors raised while evaluating carry the innermost node's place."""
 
@@ -283,6 +354,18 @@ class TestPositionedEvaluation:
         assert str(info.value) == (f"parameter 'n' must be an integer or inf, got {value!r}"
                                    f" (line 1, column {column})")
         assert (info.value.line, info.value.column) == (1, column)
+
+    class Unhashable(int):
+        __hash__ = None
+
+    class Three(enum.IntEnum):
+        THREE = 3
+
+    @pytest.mark.parametrize("value", [Unhashable(3), Three.THREE], ids=["unhashable", "IntEnum"])
+    @pytest.mark.parametrize("text", ["C(n)", "{q=n; *=n}", "Zpinf(n)"])
+    def test_int_subclass_binds_as_its_int(self, text, value):
+        # memoized constructors hash their arguments, and values keep them
+        assert repr(ev(text, n=value)) == repr(ev(text, n=3))
 
     def test_literal_keeps_its_value(self):
         expr = parse("DT{q=2; *=3-; 5=1+}")

@@ -25,12 +25,14 @@ comparison or failed report, 2 for any error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 from .decorated import ValidityError
 from .exprs import (
     FORMATS,
+    _DIGIT,
     MAX_DIGITS,
     EvaluationError,
     ParseError,
@@ -54,6 +56,7 @@ from .harness import (
 MAX_BOUND = 100  # largest sweep --bound K; the sweep builds about 2*(K+1)**2 types
 MAX_N_RUNS = 1000  # most values in one --n range, each one scenario run
 MAX_SAMPLES = 10_000  # largest --samples of the law suite, its default
+_BOUND = re.compile(rf"-?[{_DIGIT}]+")  # an --n bound: ASCII digits, as in the language
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,15 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    try:
-        if sep:
-            first, last = int(lo), int(hi)
-        else:
-            first = last = int(lo)
-    except ValueError:
-        raise ValidityError(f"--n expects an integer or a range A..B, got {text!r}") from None
-    if any(len(str(abs(bound))) > MAX_DIGITS for bound in (first, last)):
+    bounds = (lo, hi) if sep else (lo, lo)
+    if not all(_BOUND.fullmatch(bound) for bound in bounds):
+        raise ValidityError(f"--n expects an integer or a range A..B, got {text!r}")
+    if any(len(bound.lstrip("-")) > MAX_DIGITS for bound in bounds):
         raise ValidityError(f"--n bound longer than {MAX_DIGITS} digits")
+    first, last = map(int, bounds)
     if last < first:
         raise ValidityError(f"empty range {text!r}")
     if last - first >= MAX_N_RUNS:

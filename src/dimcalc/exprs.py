@@ -99,12 +99,8 @@ class EvaluationError(RuntimeError):
 
 def placed(err: ValidityError | EvaluationError, line: int, column: int):
     """``err`` placed at (line, column), of its own class so callers still
-    catch it narrowly; an error already placed inside a concrete literal
-    moves to the literal, which reports its own evaluation's errors there."""
-    message = str(err)
-    if hasattr(err, "line"):
-        message = message.removesuffix(_where(err.line, err.column))
-    out = type(err)(message + _where(line, column))
+    catch it narrowly."""
+    out = type(err)(str(err) + _where(line, column))
     out.line = line
     out.column = column
     return out
@@ -367,15 +363,15 @@ class _Parser:
                 self.expect(")")
                 node = Expr(op, (arg,), tok.line, tok.column)
                 return node if op in ("dim", "sigma") else self.literal(node, params, start)
-            if text == "Q":
-                return Expr("rationals", (), tok.line, tok.column)
-            if text == "Z":
-                if self.accept("^"):
+            if text in ("Q", "Z"):
+                if text == "Q":
+                    node = Expr("rationals", (), tok.line, tok.column)
+                elif self.accept("^"):
                     node = Expr("free", (self.number("free rank"),), tok.line, tok.column)
                 elif self.accept("/"):
                     node = Expr("cyclic", (self.number("modulus"),), tok.line, tok.column)
                 else:
-                    return Expr("free", (1,), tok.line, tok.column)
+                    node = Expr("free", (1,), tok.line, tok.column)
                 return self.literal(node, self.params, self.pos)
             if text == "pres":
                 return self.presentation(tok)
@@ -395,11 +391,7 @@ class _Parser:
             # a long literal may be too deep to evaluate; nodes that keep
             # a value are not evaluated again, so each node is walked once
             _check_depth(node, into_values=False)
-        try:
-            value = evaluate_expr(node)
-        except ValidityError as err:
-            raise placed(err, node.line, node.column) from None
-        return Expr(node.op, node.args, node.line, node.column, value)
+        return Expr(node.op, node.args, node.line, node.column, evaluate_expr(node))
 
     def type_literal(self, tok: Token) -> Expr:
         params, start = self.params, self.pos
@@ -410,7 +402,7 @@ class _Parser:
         self.expect("*")
         self.expect("=")
         default = self.decorated()
-        entries: dict[int, Expr] = {}
+        entries: dict[int, tuple] = {}
         while self.accept(";"):
             key = self.tokens[self.pos]
             prime = self.number("prime key")
@@ -426,12 +418,13 @@ class _Parser:
         node = Expr("type", (q, default, tuple(entries.items())), tok.line, tok.column)
         return self.literal(node, params, start)
 
-    def decorated(self) -> Expr:
+    def decorated(self) -> tuple:
+        """An entry as a (base, mark) pair."""
         base = self.integer()
         decoration = _SIGNS.get(self.tokens[self.pos].text, _NONE)
         if decoration is not _NONE:
             self.advance()
-        return Expr("decnum", (base, decoration), base.line, base.column)
+        return base, decoration
 
     def presentation(self, tok: Token) -> Expr:
         params, start = self.params, self.pos
@@ -539,12 +532,11 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
                     raise EvaluationError("cannot negate inf")
                 return -value
             case "type":
-                # entries are built here, so their errors are the literal's
-                q, default, entries = args
+                # entries are (base, mark) pairs built here: their errors are the literal's
+                q, (base, mark), entries = args
                 return DimensionType(
-                    ev(q, bindings),
-                    decorated_number(ev(default.args[0], bindings), default.args[1]),
-                    {p: decorated_number(ev(e.args[0], bindings), e.args[1]) for p, e in entries})
+                    ev(q, bindings), decorated_number(ev(base, bindings), mark),
+                    {p: decorated_number(ev(b, bindings), m) for p, (b, m) in entries})
             case "bn":
                 return boltyanskii_type(ev(args[0], bindings))
             case "const":

@@ -5,9 +5,11 @@ are observed exactly as a shell would see them.
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,20 @@ class TestTopLevel:
         assert proc.returncode == 0
         for name in ("eval", "verify", "sweep", "sigma"):
             assert name in proc.stdout
+
+    def test_console_script_target(self):
+        # the wiring the PATH test below checks, read where it is declared
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)",
+                            pyproject.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
+        module, function = re.search(r'^dimcalc = "([\w.]+):(\w+)"$', scripts[1],
+                                     re.MULTILINE).groups()
+        assert (module, function) == ("dimcalc.cli", "main")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; "
+             f"sys.exit({module}.{function}(['eval', 'dim(B(6))']))"],
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "6\n", "")
 
     @pytest.mark.skipif(shutil.which("dimcalc") is None,
                         reason="console script not on PATH")

@@ -3,6 +3,8 @@
 import enum
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,6 +29,8 @@ from dimcalc import (
     ValidityError,
     boltyanskii_type,
     bockstein_basis,
+    builtin_scenario,
+    builtin_scenario_names,
     constant,
     evaluate_expr,
     free_parameters,
@@ -35,7 +39,7 @@ from dimcalc import (
     render,
 )
 from dimcalc.cli import main
-from dimcalc.exprs import _tokenize
+from dimcalc.exprs import _tokenize, walk
 from support import dimension_types, tokens_by_hand
 
 MINUS, PLUS = Decoration.MINUS, Decoration.PLUS
@@ -372,6 +376,34 @@ class TestPositionedEvaluation:
         assert expr.value == evaluate_expr(expr)
         assert parse("DT{q=n; *=3-}").value is None
 
+    def test_constant_groups_keep_their_value(self):
+        assert parse("Q").value == Rationals()
+        assert parse("Z").value == Free(1)
+
+    # failing cores, each placed at a column of its own; a type core fills
+    # an integer slot through dim()
+    CORES = ["C(1) oplus {q=0;*=0+}", "{q=0;*=0+}*", "5 - inf", "B(0)"]
+    # '@' marks the integer slot: alone, in calls, in a type literal, in a row
+    SLOTS = ["@", "Zloc(@)", "Zpinf(@)", "C(@)", "B(@ + 1)", "{q=@; *=1}", "{q=1; *=@}",
+             "{q=1; *=1; 2=@+}", "pres[[1, @]]"]
+
+    def raised(self, text):
+        with pytest.raises((ValidityError, EvaluationError)) as info:
+            ev(text)
+        return info.value
+
+    @pytest.mark.parametrize("slot", SLOTS)
+    @pytest.mark.parametrize("core", CORES)
+    def test_literal_slots_keep_the_innermost_place(self, core, slot):
+        alone = self.raised(core)
+        integer = core if core == "5 - inf" else f"dim({core})"
+        err = self.raised(slot.replace("@", integer))
+        offset = slot.index("@") + integer.index(core)
+        assert (type(err), err.line, err.column) == (type(alone), 1, offset + alone.column)
+        unplaced = r" \(line 1, column [0-9]+\)$"
+        assert re.sub(unplaced, "", str(err)) == re.sub(unplaced, "", str(alone))
+        assert str(err).count("(line ") == 1
+
 
 class TestInputCaps:
     """Oversized input ends in one positioned error line and exit 2."""
@@ -452,8 +484,9 @@ class TestNBoundCap:
         return str(path)
 
     @pytest.mark.parametrize("n_range", ["9" * 1001, "9" * 4300, "1.." + "9" * 1001,
-                                         "-" + "9" * 1001 + "..1"],
-                             ids=["1001 digits", "4300 digits", "upper bound", "lower bound"])
+                                         "-" + "9" * 1001 + "..1", "9" * 5000, "0" * 1001],
+                             ids=["1001 digits", "4300 digits", "upper bound", "lower bound",
+                                  "5000 digits", "1001 zeros"])
     def test_exits_two_with_one_line(self, n_range, tmp_path, capsys):
         assert main(["verify", "--scenario", self.claims(tmp_path), "--n=" + n_range]) == 2
         assert capsys.readouterr() == ("", "error: --n bound longer than 1000 digits\n")
@@ -487,6 +520,14 @@ class TestNRange:
         assert err == "" and out.count("result: pass") == 7
         assert "[n=-3]" in out and "[n=3]" in out
 
+    @pytest.mark.parametrize("option", ["--n=٣..٥", "--n=1_0", "--n=+6..7", "--n= 6 .. 7"],
+                             ids=["arabic digits", "underscore", "plus sign", "spaces"])
+    def test_bounds_are_ascii_digits_with_an_optional_minus(self, option, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.claims(tmp_path), option]) == 2
+        text = option.removeprefix("--n=")
+        assert capsys.readouterr() == (
+            "", f"error: --n expects an integer or a range A..B, got {text!r}\n")
+
     def test_negative_lower_bound_as_a_separate_word(self, tmp_path, capsys):
         # argparse reads "-3..3" as an option, prints usage and exits 2
         assert main(["verify", "--scenario", self.claims(tmp_path), "--n", "-3..3"]) == 2
@@ -507,6 +548,21 @@ class TestKinds:
         assert kind_of(parse("Q")) == "group"
         assert kind_of(parse("sigma(Q)")) == "sigma-set"
         assert kind_of(parse("5 == 5")) == "boolean"
+
+    def test_every_node_has_a_kind(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        evals = [shlex.split(argv)[-1]
+                 for argv in re.findall(r"^\$ dimcalc eval (.*)$", readme, re.MULTILINE)]
+        assert len(evals) == 3
+        # the texts of TestInputCaps.test_caps_leave_room_below_them
+        room = ["(" * 150 + "1" + ")" * 150, "-" * 199 + "1", "1+" * 199 + "1",
+                "B(" + "1+" * 190 + "1)", "1" * 1000 + " - 1"]
+        trees = [parse(text) for text in evals + room]
+        trees += [claim.expr for name in builtin_scenario_names()
+                  for claim in builtin_scenario(name).claims]
+        kinds = {"integer", "dimension type", "group", "sigma-set", "boolean"}
+        for tree in trees:
+            assert {kind_of(node) for node, _ in walk(tree)} <= kinds
 
     def test_free_parameters_nested(self):
         expr = parse("dim(DT{q=a; *=(b-1)+} boxplus B(c)) == d")

@@ -1,6 +1,8 @@
 """Parsing, evaluation, kinds, diagnostics, and rendering."""
 
 import enum
+import hashlib
+import itertools
 import json
 import re
 import shlex
@@ -252,6 +254,27 @@ class TestDiagnostics:
     def test_negative_shift_rejected_at_evaluation(self):
         with pytest.raises(ValidityError):
             ev("C(1) + n", n=-2)
+
+    # every token kind, each word the parser reads and the literal keys
+    ATOMS = ("{ } ( ) [ ] ; , = + - * / ^ < > <= == DT Q Z B C dim sigma Zpinf Zloc pres "
+             "inf boxplus oplus q n 0 1 2 12").split()
+
+    def test_every_short_text_gives_a_value_or_one_positioned_error(self):
+        digest, count = hashlib.sha256(), 0
+        for size in (1, 2, 3):
+            for atoms in itertools.product(self.ATOMS, repeat=size):
+                text = " ".join(atoms)
+                try:
+                    outcome = render(evaluate_expr(parse(text), {"n": 3}), "structured")
+                except (ParseError, TypeMismatchError, ValidityError, EvaluationError) as err:
+                    assert err.line == 1 and 1 <= err.column <= len(text) + 1, text
+                    assert str(err).count("(line ") == 1, text
+                    outcome = f"{type(err).__name__}: {err}"
+                digest.update(f"{outcome}\n".encode())
+                count += 1
+        assert count == 37 + 37**2 + 37**3
+        assert digest.hexdigest() == (
+            "c0bc0cef372b9a2f003fd662794748604da78ff867bd747185319713a42d06a1")
 
 
 class TestTokens:

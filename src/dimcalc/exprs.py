@@ -38,6 +38,7 @@ diagnostic carries a 1-based line and column.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -241,8 +242,7 @@ class _Parser:
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def accept(self, text: str) -> bool:
@@ -337,6 +337,7 @@ class _Parser:
         if self.depth == MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
                              tok.line, tok.column)
+        params, start = self.params, self.pos
         self.depth += 1
         try:
             if text == "-":
@@ -347,44 +348,40 @@ class _Parser:
                 node = self.climb(self.primary(), 1)
                 self.expect(")")
                 return node
-            if text == "{":
-                return self.type_literal(tok)
-            if text == "DT":
-                self.expect("{")
-                return self.type_literal(tok)
             if text == "inf":
                 return Expr("int", (INF,), tok.line, tok.column)
-            if text in _CALLS:
+            if text in ("{", "DT"):
+                node = self.type_literal(tok)
+            elif text in _CALLS:
                 op, kind = _CALLS[text]
-                params, start = self.params, self.pos
                 self.expect("(")
                 arg = self.climb(self.primary(), 1)
                 _need(arg, kind, f"expected a {kind} argument, found {{}}", arg)
                 self.expect(")")
                 node = Expr(op, (arg,), tok.line, tok.column)
-                return node if op in ("dim", "sigma") else self.literal(node, params, start)
-            if text in ("Q", "Z"):
-                if text == "Q":
-                    node = Expr("rationals", (), tok.line, tok.column)
-                elif self.accept("^"):
+                if op in ("dim", "sigma"):
+                    return node
+            elif text == "Q":
+                node = Expr("rationals", (), tok.line, tok.column)
+            elif text == "Z":
+                if self.accept("^"):
                     node = Expr("free", (self.number("free rank"),), tok.line, tok.column)
                 elif self.accept("/"):
                     node = Expr("cyclic", (self.number("modulus"),), tok.line, tok.column)
                 else:
                     node = Expr("free", (1,), tok.line, tok.column)
-                return self.literal(node, self.params, self.pos)
-            if text == "pres":
-                return self.presentation(tok)
-            if tok.kind != "name" or text in _RESERVED:
+            elif text == "pres":
+                rows = self.bracketed(lambda: self.bracketed(self.integer))
+                node = Expr("pres", (rows, len(rows[0]) if rows else 0), tok.line, tok.column)
+            elif tok.kind == "name" and text not in _RESERVED:
+                self.params += 1
+                return Expr("param", (text,), tok.line, tok.column)
+            else:
                 raise ParseError(f"expected a value, found {_found(tok)}", tok.line, tok.column)
-            self.params += 1
-            return Expr("param", (text,), tok.line, tok.column)
         finally:
             self.depth -= 1
-
-    def literal(self, node: Expr, params: int, start: int) -> Expr:
-        """``node`` as parsed from token ``start`` on; if no parameter was
-        read since then, validated now and returned with its value."""
+        # a literal: if no parameter was read in it, validated now and kept
+        # with its value
         if self.params != params:
             return node
         if self.pos - start > MAX_DEPTH:
@@ -394,7 +391,8 @@ class _Parser:
         return Expr(node.op, node.args, node.line, node.column, evaluate_expr(node))
 
     def type_literal(self, tok: Token) -> Expr:
-        params, start = self.params, self.pos
+        if tok.text == "DT":
+            self.expect("{")
         self.expect("q")
         self.expect("=")
         q = self.integer()
@@ -415,8 +413,7 @@ class _Parser:
             self.expect("=")
             entries[prime] = self.decorated()
         self.expect("}")
-        node = Expr("type", (q, default, tuple(entries.items())), tok.line, tok.column)
-        return self.literal(node, params, start)
+        return Expr("type", (q, default, tuple(entries.items())), tok.line, tok.column)
 
     def decorated(self) -> tuple:
         """An entry as a (base, mark) pair."""
@@ -426,25 +423,16 @@ class _Parser:
             self.advance()
         return base, decoration
 
-    def presentation(self, tok: Token) -> Expr:
-        params, start = self.params, self.pos
+    def bracketed(self, item) -> tuple:
+        """'[' ( item (',' item)* )? ']' as a tuple of items."""
         self.expect("[")
-        rows: list[tuple[Expr, ...]] = []
-        if not self.accept("]"):
-            while True:
-                self.expect("[")
-                row: list[Expr] = []
-                if self.tokens[self.pos].text != "]":
-                    row.append(self.integer())
-                    while self.accept(","):
-                        row.append(self.integer())
-                self.expect("]")
-                rows.append(tuple(row))
-                if not self.accept(","):
-                    break
-            self.expect("]")
-        node = Expr("pres", (tuple(rows), len(rows[0]) if rows else 0), tok.line, tok.column)
-        return self.literal(node, params, start)
+        items = []
+        if self.tokens[self.pos].text != "]":
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+        self.expect("]")
+        return tuple(items)
 
 
 def parse(text: str, start_line: int = 1) -> Expr:
@@ -470,12 +458,14 @@ def parse(text: str, start_line: int = 1) -> Expr:
     return node
 
 
+_COMPARE = {"leq": operator.le, "eq": operator.eq}
+# group constructors by node op; classes, so a traced __init__ is still reached
+_GROUPS = {"rationals": Rationals, "free": Free, "cyclic": Cyclic,
+           "circle": PadicCircle, "localized": LocalizedIntegers}
+
+
 def apply_comparison(op: str, lhs, rhs) -> bool:
-    if op == "leq":
-        return bool(lhs <= rhs)
-    if op == "eq":
-        return bool(lhs == rhs)
-    raise ValueError(f"not a comparison: {op!r}")
+    return bool(_COMPARE[op](lhs, rhs))
 
 
 def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
@@ -511,7 +501,7 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
                     raise EvaluationError(
                         f"parameter {args[0]!r} must be an integer or inf, got {value!r}")
                 return value if value is INF else int(value)
-            case "add":
+            case "add" | "dsum":
                 return ev(args[0], bindings) + ev(args[1], bindings)
             case "sub":
                 lhs, rhs = ev(args[0], bindings), ev(args[1], bindings)
@@ -556,22 +546,14 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
                 return ev(args[0], bindings).dim()
             case "sigma":
                 return bockstein_basis(ev(args[0], bindings))
-            case "rationals":
-                return Rationals()
-            case "free":
-                return Free(args[0])
-            case "cyclic":
-                return Cyclic(args[0])
-            case "circle":
-                return PadicCircle(ev(args[0], bindings))
-            case "localized":
-                return LocalizedIntegers(ev(args[0], bindings))
+            case "rationals" | "free" | "cyclic":
+                return _GROUPS[op](*args)
+            case "circle" | "localized":
+                return _GROUPS[op](ev(args[0], bindings))
             case "pres":
                 rows, generators = args
                 return Presented(generators, tuple(
                     tuple(ev(e, bindings) for e in row) for row in rows))
-            case "dsum":
-                return ev(args[0], bindings) + ev(args[1], bindings)
             case "leq" | "eq":
                 return apply_comparison(op, ev(args[0], bindings), ev(args[1], bindings))
             case _:

@@ -57,6 +57,7 @@ MAX_BOUND = 100  # largest sweep --bound K; the sweep builds about 2*(K+1)**2 ty
 MAX_N_RUNS = 1000  # most values in one --n range, each one scenario run
 MAX_SAMPLES = 10_000  # largest --samples of the law suite, its default
 _BOUND = re.compile(rf"-?[{_DIGIT}]+")  # an --n bound: ASCII digits, as in the language
+_ECHO = 40  # an error quotes an --n text this long whole, a longer one cut and '...'
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,13 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     bounds = (lo, hi) if sep else (lo, lo)
+    echo = repr(text) if len(text) <= _ECHO else f"{text[:_ECHO]!r}..."
     if not all(_BOUND.fullmatch(bound) for bound in bounds):
-        raise ValidityError(f"--n expects an integer or a range A..B, got {text!r}")
+        raise ValidityError(f"--n expects an integer or a range A..B, got {echo}")
     if any(len(bound.lstrip("-")) > MAX_DIGITS for bound in bounds):
         raise ValidityError(f"--n bound longer than {MAX_DIGITS} digits")
     first, last = map(int, bounds)
     if last < first:
-        raise ValidityError(f"empty range {text!r}")
+        raise ValidityError(f"empty range {echo}")
     if last - first >= MAX_N_RUNS:
         raise ValidityError(f"--n range longer than {MAX_N_RUNS} values")
     return range(first, last + 1)

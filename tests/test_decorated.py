@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dimcalc import (
     INF,
+    BasisKind,
     BocksteinGroup,
     DecoratedNumber,
     Decoration,
@@ -241,10 +243,21 @@ class TestDimensionTypeForm:
         assert str(d) == "{q=2; *=3-; 5=1+}"
         assert str(constant(0)) == "{q=0; *=0}"
 
+    def test_repr_with_exceptions(self):
+        d = DimensionType(2, DecoratedNumber(3, MINUS), {5: DecoratedNumber(1, PLUS)})
+        assert repr(d) == (
+            "DimensionType(2, DecoratedNumber(base=3, decoration=<Decoration.MINUS: -1>), "
+            "{5: DecoratedNumber(base=1, decoration=<Decoration.PLUS: 1>)})")
+
     def test_zero_base_plus_with_zero_q_admitted(self):
         d = DimensionType(0, DecoratedNumber(0, PLUS))
         assert d(BocksteinGroup.localized(2)) == 1
         assert d.dim() == 1
+
+
+def test_basis_group_of_q_carries_no_prime():
+    with pytest.raises(ValidityError, match="^Q carries no prime$"):
+        BocksteinGroup(BasisKind.RATIONALS, 2)
 
 
 class _Int(int):
@@ -524,6 +537,17 @@ class TestOplus:
         with pytest.raises(NotRepresentableError):
             constant(1).oplus(bad)
 
+    @pytest.mark.parametrize("bad", [
+        DimensionType(INF, DecoratedNumber(INF, PLUS)),
+        DimensionType(2, DecoratedNumber(3, MINUS), {5: DecoratedNumber(INF, PLUS)}),
+    ], ids=["default", "exception"])
+    def test_infinite_plus_entry_has_no_mirror(self, bad):
+        message = f"^{re.escape(str(bad))} has an entry inf\\+ with no mirror image$"
+        with pytest.raises(NotRepresentableError, match=message):
+            bad.oplus(constant(1))
+        with pytest.raises(NotRepresentableError, match=message):
+            constant(1).oplus(bad)
+
     def test_defined_where_composition_is_not(self):
         # the mirror composition overflows at infinite bases, the direct
         # table canonicalizes instead of failing
@@ -621,6 +645,9 @@ class TestPredicates:
         assert not D1.is_boltyanskii(0)
         # D1 has dim 3 but its entry 3- exceeds the 2+ ceiling of B_3
         assert not D1.is_boltyanskii(3)
+
+    def test_is_boltyanskii_at_one(self):
+        assert boltyanskii_type(1).is_boltyanskii(1)
 
     def test_is_full_valued(self):
         assert constant(3).is_full_valued()

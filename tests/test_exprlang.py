@@ -557,10 +557,32 @@ class TestNRange:
         out, err = capsys.readouterr()
         assert out == "" and err.endswith("error: argument --n: expected one argument\n")
 
+    @pytest.mark.parametrize("text, error", [
+        ("5..3", "empty range '5..3'"),
+        ("9" * 1000 + "..1", f"empty range '{'9' * 40}'..."),
+        ("9" * 5000 + "x", f"--n expects an integer or a range A..B, got '{'9' * 40}'..."),
+    ], ids=["empty range", "long empty range", "long malformed text"])
+    def test_errors_quote_at_most_40_characters(self, text, error, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.claims(tmp_path), "--n=" + text]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {error}\n")
+        assert len(err.encode()) <= 120
+
 
 def test_expression_after_double_dash(capsys):
     assert main(["eval", "--", "-1+2"]) == 0
     assert capsys.readouterr() == ("1\n", "")
+
+
+def test_sigma_of_a_non_group_is_positioned(capsys):
+    assert main(["sigma", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: sigma needs a group expression, found integer (line 1, column 1)\n")
+
+
+def test_group_value_structured(capsys):
+    assert main(["eval", "Z/2", "--format", "structured"]) == 0
+    assert capsys.readouterr() == ('{"kind": "group", "text": "Z/2"}\n', "")
 
 
 class TestKinds:

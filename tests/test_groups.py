@@ -96,6 +96,15 @@ class TestGroupExpressions:
         with pytest.raises(ValidityError):
             DirectSum((Free(1),))
 
+    @pytest.mark.parametrize("args, message", [
+        ((-1, ()), "generator count must be >= 0, got -1"),
+        ((1, ((True,),)), "relation coefficient must be an integer, got True"),
+    ], ids=["negative generator count", "bool coefficient"])
+    def test_presentation_rejection_messages(self, args, message):
+        with pytest.raises(ValidityError) as caught:
+            Presented(*args)
+        assert str(caught.value) == message
+
     def test_sum_flattens(self):
         total = Cyclic(2) + Cyclic(3) + Free(1)
         assert isinstance(total, DirectSum)

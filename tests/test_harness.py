@@ -1,6 +1,7 @@
 """Verification harness: bounds, scenarios, the cube sweep, and the law checker."""
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import fields
@@ -143,6 +144,14 @@ class TestBuiltinScenarios:
         for n in range(2, 13):
             assert run_scenario(scenario, {"n": n}).passed
 
+    def test_boltyanskii_square_holds_at_one(self):
+        assert run_scenario(builtin_scenario("boltyanskii-square"), {"n": 1}).passed
+
+    def test_unknown_name_lists_the_builtins(self, capsys):
+        assert main(["verify", "--scenario", "nosuch"]) == 2
+        assert capsys.readouterr() == ("", "error: no builtin scenario or file named 'nosuch' "
+                                           "(builtins: boltyanskii-square, section4, laws)\n")
+
     def test_failing_claim_reports_both_sides(self):
         report = run_scenario(Scenario.from_text("off", "B(4) == C(4)\n"))
         assert not report.passed
@@ -250,6 +259,10 @@ def test_golden_outputs(capsys):
             "45f5fb71c101ff59f1733127bd53b41455699f32218b352d2e635026837acc71",
         ("sweep", "--cube", "--n", "6", "--bound", "8", "--format", "structured"):
             "944e58327fa7ef45aeed0c83c32230c8afd79ec7ef04488ce4b836288ae539cf",
+        ("verify", "--scenario", "section4", "--n", "6..20"):
+            "b9a53cf346cf33bb322a27410e1b6ae182872b19d925d2b2f052e6ec9a396373",
+        ("sweep", "--cube", "--n", "6", "--bound", "8"):
+            "9793eac869d4f14d391a543f573eddcf519f4b486dd4d2aba7f1f212ef4a6997",
     }
     for argv, digest in golden.items():
         assert main(list(argv)) == 0
@@ -310,6 +323,31 @@ class TestCubeSweep:
         with pytest.raises(ValidityError):
             cube_theorem_sweep(6, -1)
 
+    # the dimension-2 base types and the fibers of the n=4, bound 2 grid, in order
+    DIM2 = ["{q=0; *=1+}", "{q=0; *=2-}", "{q=1; *=1+}", "{q=1; *=2-}", "{q=2; *=2}",
+            "{q=2; *=0+}", "{q=2; *=1+}", "{q=2; *=1-}", "{q=2; *=2-}"]
+    FIBERS = ["{q=2; *=2}", "{q=2; *=2+}"]
+
+    def test_failing_product_dimension(self, monkeypatch, capsys):
+        monkeypatch.setattr(DimensionType, "boxplus", lambda self, other: constant(0))
+        assert main(["sweep", "--cube", "--n", "4", "--bound", "2"]) == 1
+        lines = ["cube sweep: n=4, base bound 2", "  dim-2 base types: 9",
+                 "  fiber types at least constant(2): 2", "  pairs checked: 18",
+                 "  counterexamples: 18",
+                 *(f"    product dimension: dim({y} boxplus {f}) < 4"
+                   for y in self.DIM2 for f in self.FIBERS),
+                 "result: FAIL"]
+        assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
+    def test_failing_shift_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(DimensionType, "is_full_valued", lambda self: False)
+        assert main(["sweep", "--cube", "--n", "4", "--bound", "1"]) == 1
+        assert capsys.readouterr() == (
+            "cube sweep: n=4, base bound 1\n  dim-2 base types: 9\n"
+            "  fiber types at least constant(2): 0\n  pairs checked: 0\n"
+            "  counterexamples: 1\n    shift bound: constant(3) <= {q=2; *=2} + 1\n"
+            "result: FAIL\n", "")
+
     def test_failure_rendering(self):
         report = SweepReport(6, 8, 9, 50, 450, ("product dimension: dim(x) < 6",))
         assert not report.passed
@@ -362,6 +400,16 @@ class TestAlgebraLaws:
         assert "FAIL" in text
         assert "a=..., b=..." in text
         assert text.splitlines()[-1] == "result: FAIL (0/1 laws)"
+
+    def test_five_failures_kept_when_every_sample_fails(self, monkeypatch):
+        # each broken sum is a constant no earlier call returned, so the
+        # first three laws fail on every sample
+        fresh = itertools.count()
+        monkeypatch.setattr(DimensionType, "boxplus", lambda self, other: constant(next(fresh)))
+        report = check_algebra_laws(seed=0, samples=20)
+        assert [(law.name, law.checked, len(law.failures)) for law in report.laws[:3]] == [
+            ("boxplus-commutes", 20, 5), ("boxplus-associates", 20, 5),
+            ("boxplus-identity", 20, 5)]
 
     def test_operand_stream_is_pinned(self, monkeypatch):
         # the report's hash covers names, counts and failures only, so

@@ -24,11 +24,7 @@ comparison or failed report, 2 for any error.
 
 from __future__ import annotations
 
-import argparse
-import re
-import sys
-from pathlib import Path
-
+# dimcalc compiles before argparse loads, which keeps the CLI's peak RSS down.
 from .decorated import ValidityError
 from .exprs import (
     FORMATS,
@@ -53,11 +49,16 @@ from .harness import (
     run_scenario,
 )
 
+import argparse
+import re
+import sys
+from pathlib import Path
+
 MAX_BOUND = 100  # largest sweep --bound K; the sweep builds about 2*(K+1)**2 types
 MAX_N_RUNS = 1000  # most values in one --n range, each one scenario run
 MAX_SAMPLES = 10_000  # largest --samples of the law suite, its default
 _BOUND = re.compile(rf"-?[{_DIGIT}]+")  # an --n bound: ASCII digits, as in the language
-_ECHO = 40  # an error quotes an --n text this long whole, a longer one cut and '...'
+_ECHO = 40  # an error quotes a text this long whole, a longer one cut and '...'
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,17 +111,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _echo(text: str) -> str:
+    return repr(text) if len(text) <= _ECHO else f"{text[:_ECHO]!r}..."
+
+
 def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     bounds = (lo, hi) if sep else (lo, lo)
-    echo = repr(text) if len(text) <= _ECHO else f"{text[:_ECHO]!r}..."
     if not all(_BOUND.fullmatch(bound) for bound in bounds):
-        raise ValidityError(f"--n expects an integer or a range A..B, got {echo}")
+        raise ValidityError(f"--n expects an integer or a range A..B, got {_echo(text)}")
     if any(len(bound.lstrip("-")) > MAX_DIGITS for bound in bounds):
         raise ValidityError(f"--n bound longer than {MAX_DIGITS} digits")
     first, last = map(int, bounds)
     if last < first:
-        raise ValidityError(f"empty range {echo}")
+        raise ValidityError(f"empty range {_echo(text)}")
     if last - first >= MAX_N_RUNS:
         raise ValidityError(f"--n range longer than {MAX_N_RUNS} values")
     return range(first, last + 1)
@@ -143,10 +147,13 @@ def _cmd_eval(args) -> int:
 def _resolve_scenario(name: str) -> Scenario:
     if name in builtin_scenario_names():
         return builtin_scenario(name)
-    if Path(name).exists():
-        return Scenario.from_path(name)
+    try:
+        if Path(name).exists():
+            return Scenario.from_path(name)
+    except OSError as err:  # str(err) would quote the whole path
+        raise OSError(f"[Errno {err.errno}] {err.strerror}: {_echo(err.filename)}") from None
     known = ", ".join((*builtin_scenario_names(), "laws"))
-    raise ValidityError(f"no builtin scenario or file named {name!r} (builtins: {known})")
+    raise ValidityError(f"no builtin scenario or file named {_echo(name)} (builtins: {known})")
 
 
 def _cmd_verify(args) -> int:

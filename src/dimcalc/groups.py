@@ -410,6 +410,8 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     in either the type or the basis, plus one generic prime standing for
     all the rest, where the type reads its default.  Each prime's entry is
     read once: its three values pair with ``sigma._by_kind()`` in order.
+    Membership reads each predicate's fields without ``__call__``'s
+    check, as every prime here is validated already.
 
     >>> dim_with_coefficients(DimensionType(2, DecoratedNumber(3, Decoration.MINUS)), Free(1))
     3
@@ -419,5 +421,6 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     marked = tuple(sorted({*d.exception_primes(), *sigma.exception_primes()}))
     by_kind = sigma._by_kind()
     for p, e in [(p, d.entry(p)) for p in marked] + [(_generic_prime(marked), d.default)]:
-        values += [value for (_, pred), value in zip(by_kind, d._values_at(e)) if pred(p)]
+        values += [value for (_, pred), value in zip(by_kind, d._values_at(e))
+                   if pred.default != (p in pred.exceptions)]
     return max(values, default=0)

@@ -4,7 +4,9 @@ Every test drives a real subprocess so exit codes and stream separation
 are observed exactly as a shell would see them.
 """
 
+import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -94,6 +96,14 @@ class TestVerify:
         proc = run_cli("verify", "--scenario", "no-such-thing")
         assert proc.returncode == 2
         assert "section4" in proc.stderr
+
+    @pytest.mark.parametrize("name", ["a" * 5000, "a/" * 1000],
+                             ids=["name too long for the OS", "long missing path"])
+    def test_long_scenario_name_is_quoted_cut(self, name):
+        proc = run_cli("verify", "--scenario", name)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"{name[:40]!r}..." in proc.stderr and len(proc.stderr.encode()) < 150
 
     def test_file_scenario_pass(self, tmp_path):
         path = tmp_path / "shift.claims"
@@ -204,6 +214,19 @@ class TestTopLevel:
         assert proc.returncode == 0
         for name in ("eval", "verify", "sweep", "sigma"):
             assert name in proc.stdout
+
+    # sha256 of the help text at COLUMNS=80, as Python 3.11's argparse lays it out
+    @pytest.mark.parametrize("command, digest", [
+        ((), "5f6155f90d52e79eee0098a641e642194b6b72b1f1a9a7b5447aa10eb3560bac"),
+        (("eval",), "37e97076a893820c222b28c1ae288e16228bacc06af5382b17dfbc49a649e9bb"),
+        (("verify",), "481698e1e63b4a6e8889bfdacbe28d7fd65f245a71f60baa40e7211077431ff8"),
+        (("sweep",), "18dc80f24105566f24154c5d9fe14246a1d377173901ccd404541d2dd8f457a5"),
+        (("sigma",), "89cb04bf9a60685bf946fabdd971f5e3604ee6149cb848cf1d3ccd72ac7ecc0c"),
+    ], ids=["dimcalc", "eval", "verify", "sweep", "sigma"])
+    def test_help_text_is_pinned(self, command, digest):
+        proc = run_cli(*command, "--help", env={**os.environ, "COLUMNS": "80"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
     def test_console_script_target(self):
         # the wiring the PATH test below checks, read where it is declared

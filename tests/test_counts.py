@@ -73,7 +73,7 @@ CEILINGS = {
     # the dim_with_coefficients example alone makes 14 predicates and reads
     # each of its 3 marked primes once, building no BocksteinGroup
     "groups": {"exprs.parse": 0, "exprs.evaluate": 0, "decorated.construct": 1,
-               "decorated.is_prime": 73, "groups.predicate": 38, "decorated.decnum": 2,
+               "decorated.is_prime": 61, "groups.predicate": 38, "decorated.decnum": 2,
                "decorated.entry": 3, "decorated.basis_group": 0, "decorated.value_at": 0},
 }
 

@@ -2,11 +2,15 @@
 
 ``bench/tracing.py`` reads each ``SPANS`` target from its owner's
 ``__dict__``, so deleting or inheriting one breaks ``bench/run.py
---trace 1``.
+--trace 1``.  It finds each owner module in ``sys.modules``, so
+``import dimcalc.cli``, which is all ``bench/run.py`` imports beside the
+package, must load every one of them.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import dimcalc
@@ -44,3 +48,12 @@ def test_instrument_traces_and_restores(capsys):
     assert dimcalc.exprs.parse is parse
     assert {"cli.main", "exprs.parse", "groups.sigma"} <= set(tracer.names)
     assert capsys.readouterr().out == "{Z_2, Z_3}\n"
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    modules = {f"dimcalc.{module}" for module, *_ in load_tracing().SPANS}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dimcalc.cli\nprint(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert modules - set(proc.stdout.split()) == set()

@@ -54,7 +54,7 @@ import re
 import sys
 from pathlib import Path
 
-MAX_BOUND = 100  # largest sweep --bound K; the sweep builds about 2*(K+1)**2 types
+MAX_BOUND = 100  # largest sweep --bound K; at n = 4 it builds about 2*(K-1)**2 fiber types
 MAX_N_RUNS = 1000  # most values in one --n range, each one scenario run
 MAX_SAMPLES = 10_000  # largest --samples of the law suite, its default
 _BOUND = re.compile(rf"-?[{_DIGIT}]+")  # an --n bound: ASCII digits, as in the language

@@ -346,29 +346,32 @@ class DimensionType:
             raise ValidityError(f"default entry must be a DecoratedNumber, got {default!r}")
         if default.decoration is _NONE and default.base != rational:
             raise _undecorated_error("default entry", default, rational)
-        kept: list[tuple[int, DecoratedNumber]] = []
-        in_order = True
-        if exceptions is not None:
-            if type(exceptions) is not list and isinstance(exceptions, Mapping):
-                exceptions = exceptions.items()
-            seen: set[int] = set()
-            last = 0
-            for p, entry in exceptions:
-                require_prime(p, "exception key")
-                if p in seen:
-                    raise ValidityError(f"duplicate exception at prime {p}")
-                seen.add(p)
-                if not isinstance(entry, DecoratedNumber):
-                    raise ValidityError(f"entry at {p} must be a DecoratedNumber, got {entry!r}")
-                if entry.decoration is _NONE and entry.base != rational:
-                    raise _undecorated_error(f"entry at {p}", entry, rational)
-                # an exception equal to the default carries no information
-                if entry != default:
-                    kept.append((p, entry))
-                    in_order = in_order and last < p
-                    last = p
         self.rational = rational
         self.default = default
+        # a uniform type has nothing to walk
+        if exceptions is None:
+            self.exceptions = ()
+            return
+        if type(exceptions) is not list and isinstance(exceptions, Mapping):
+            exceptions = exceptions.items()
+        kept: list[tuple[int, DecoratedNumber]] = []
+        in_order = True
+        seen: set[int] = set()
+        last = 0
+        for p, entry in exceptions:
+            require_prime(p, "exception key")
+            if p in seen:
+                raise ValidityError(f"duplicate exception at prime {p}")
+            seen.add(p)
+            if not isinstance(entry, DecoratedNumber):
+                raise ValidityError(f"entry at {p} must be a DecoratedNumber, got {entry!r}")
+            if entry.decoration is _NONE and entry.base != rational:
+                raise _undecorated_error(f"entry at {p}", entry, rational)
+            # an exception equal to the default carries no information
+            if entry != default:
+                kept.append((p, entry))
+                in_order = in_order and last < p
+                last = p
         self.exceptions = tuple(kept) if in_order else tuple(sorted(kept))
 
     def entry(self, p: int) -> DecoratedNumber:

@@ -61,6 +61,10 @@ class PrimePredicate:
         mine, theirs = self.exceptions, other.exceptions
         flipped = frozenset(p for p in mine | theirs
                             if op(self.default != (p in mine), other.default != (p in theirs)) != default)
+        # an operand equal to the result is already validated: no rebuild
+        for operand in (self, other):
+            if operand.default == default and operand.exceptions == flipped:
+                return operand
         return PrimePredicate(default, flipped)
 
     def __and__(self, other: "PrimePredicate") -> "PrimePredicate":

@@ -248,9 +248,14 @@ def builtin_scenario(name: str) -> Scenario:
 def uniform_types(max_rational: int, max_base: int) -> Iterator[DimensionType]:
     """All valid exception-free types with bounded value at Q and bounded
     prime base."""
-    for q in range(max_rational + 1):
+    return _uniform_types(0, max_rational, max_base)
+
+
+def _uniform_types(low: int, max_rational: int, max_base: int) -> Iterator[DimensionType]:
+    # the grid with the value at Q and every base in low .. the bounds
+    for q in range(low, max_rational + 1):
         yield DimensionType(q, decorated_number(q, _NONE))
-        for base in range(max_base + 1):
+        for base in range(low, max_base + 1):
             yield DimensionType(q, decorated_number(base, _PLUS))
             if base > 0:
                 yield DimensionType(q, decorated_number(base, _MINUS))
@@ -290,13 +295,15 @@ class SweepReport(_Report):
 
 def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
     """Check the two arithmetic contradictions of the fiber argument over
-    the whole uniform-type grid.
+    the uniform-type grid.
 
     For every uniform base type d_Y of dimension 2: (a) unless d_Y is
     full-valued, the shifted bound d_Y + (n-3) cannot dominate
     constant(n-1); (b) the product with any fiber type d_F at least
-    constant(n-2) reaches dimension n.  An empty fiber grid (base bound
-    below n-2) passes vacuously.
+    constant(n-2) reaches dimension n.  The fiber grid starts at the
+    floor: the value at Q and every base run from n-2, and the filter
+    drops the (n-2)- entries.  An empty fiber grid (base bound below n-2)
+    passes vacuously.
 
     >>> cube_theorem_sweep(6, 8).passed
     True
@@ -310,7 +317,7 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
     # d_Y grid does not depend on base_bound
     dim2 = [d for d in uniform_types(2, 2) if d.dim() == 2]
     floor = constant(n - 2)
-    fibers = [d for d in uniform_types(base_bound, base_bound) if floor <= d]
+    fibers = [d for d in _uniform_types(n - 2, base_bound, base_bound) if floor <= d]
 
     counterexamples: list[str] = []
     ceiling = constant(n - 1)

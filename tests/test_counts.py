@@ -3,10 +3,10 @@
 Wall time on a shared host swings too much to gate a change that adds
 work; call counts do not.  ``bench/tracing.py``'s ``instrument`` (loaded
 by path, read-only) records one span per call of each function it lists,
-and four fixed runs are counted with the decorated-number memo cleared
-first: a 200-sample law suite, the n = 6 cube sweep, a language batch
-and a groups batch.  A ceiling may be lowered when a change removes
-work, and is never raised.
+and five fixed runs are counted with the decorated-number memo cleared
+first: a 200-sample law suite, the n = 6 cube sweep, a narrow n = 20
+sweep, a language batch and a groups batch.  A ceiling may be lowered
+when a change removes work, and is never raised.
 
 The batches call every span target as ``dimcalc.<module>.<name>`` at
 call time: a name imported here before ``instrument`` runs would bypass
@@ -59,6 +59,9 @@ def groups_batch():
 RUNS = {
     "laws": lambda: check_algebra_laws(seed=1, samples=200),
     "sweep": lambda: cube_theorem_sweep(6, 8),
+    # bound 24 at n = 20: a sweep that built the whole grid from 0 would
+    # make 2169 types and 1258 comparisons here
+    "narrow-sweep": lambda: cube_theorem_sweep(20, 24),
     "language": language_batch,
     "groups": groups_batch,
 }
@@ -66,14 +69,15 @@ RUNS = {
 CEILINGS = {
     "laws": {"decorated.construct": 9001, "decorated.is_prime": 18608,
              "decorated.dim": 0, "decorated.le": 600, "decorated.decnum": 97},
-    "sweep": {"decorated.construct": 649, "decorated.is_prime": 0,
-              "decorated.dim": 477, "decorated.le": 170, "decorated.decnum": 32},
+    "sweep": {"decorated.construct": 542, "decorated.is_prime": 0,
+              "decorated.dim": 477, "decorated.le": 63, "decorated.decnum": 30},
+    "narrow-sweep": {"decorated.construct": 1024, "decorated.le": 113},
     "language": {"exprs.parse": 10, "exprs.evaluate": 134, "decorated.construct": 35,
-                 "decorated.is_prime": 15, "groups.predicate": 8, "decorated.decnum": 12},
-    # the dim_with_coefficients example alone makes 14 predicates and reads
+                 "decorated.is_prime": 11, "groups.predicate": 6, "decorated.decnum": 12},
+    # the dim_with_coefficients example alone makes 8 predicates and reads
     # each of its 3 marked primes once, building no BocksteinGroup
     "groups": {"exprs.parse": 0, "exprs.evaluate": 0, "decorated.construct": 1,
-               "decorated.is_prime": 61, "groups.predicate": 38, "decorated.decnum": 2,
+               "decorated.is_prime": 42, "groups.predicate": 25, "decorated.decnum": 2,
                "decorated.entry": 3, "decorated.basis_group": 0, "decorated.value_at": 0},
 }
 

@@ -288,6 +288,14 @@ class TestConstructorContract:
         with pytest.raises(ValidityError):
             DimensionType(2, D1.default, exceptions)
 
+    @pytest.mark.parametrize("empty", [None, [], (), {}, iter(())],
+                             ids=["None", "list", "tuple", "dict", "iterator"])
+    def test_empty_exceptions_give_the_uniform_type(self, empty):
+        uniform = DimensionType(2, D1.default)
+        built = DimensionType(2, D1.default, empty)
+        assert built == uniform and hash(built) == hash(uniform)
+        assert built.exceptions == uniform.exceptions == ()
+
     def test_bool_rejected_other_int_subclasses_as_as_extnat(self):
         with pytest.raises(ValidityError):
             DimensionType(True, DecoratedNumber(1))
@@ -315,6 +323,19 @@ class TestConstructorContract:
         ((2, D1.default, {PRIME_BOUND: E}),
          f"cannot decide whether {PRIME_BOUND} is prime: candidates must be below "
          f"{PRIME_BOUND}"),
+        # the value at Q and the default are checked alike with and without exceptions
+        ((-1, E, None), "value at Q must be >= 0, got -1"),
+        ((-1, E, []), "value at Q must be >= 0, got -1"),
+        ((-1, E, {3: E}), "value at Q must be >= 0, got -1"),
+        ((2.0, E, {3: E}), "value at Q must be a non-negative integer or inf, got 2.0"),
+        ((2, 2, []), "default entry must be a DecoratedNumber, got 2"),
+        ((2, 2, {3: E}), "default entry must be a DecoratedNumber, got 2"),
+        ((2, DecoratedNumber(5), None),
+         "default entry 5 is undecorated but differs from the value 2 at Q"),
+        ((2, DecoratedNumber(5), {}),
+         "default entry 5 is undecorated but differs from the value 2 at Q"),
+        ((2, DecoratedNumber(5), {3: E}),
+         "default entry 5 is undecorated but differs from the value 2 at Q"),
     ])
     def test_rejection_messages(self, args, message):
         with pytest.raises(ValidityError) as caught:

@@ -69,6 +69,16 @@ class TestPrimePredicate:
                 assert either == ~(~a & ~b)
                 assert ~not_a == a
 
+    def test_result_equal_to_an_operand_is_that_operand(self):
+        for default_a, default_b in itertools.product((False, True), repeat=2):
+            for exc_a, exc_b in itertools.product(self.SUBSETS, repeat=2):
+                a, b = PrimePredicate(default_a, exc_a), PrimePredicate(default_b, exc_b)
+                for result in (a & b, a | b):
+                    if result == a:
+                        assert result is a
+                    elif result == b:
+                        assert result is b
+
     def test_canonical_exceptions(self):
         a = PrimePredicate(False, frozenset({2}))
         assert (a | ~a).always()

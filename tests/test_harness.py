@@ -317,6 +317,17 @@ class TestCubeSweep:
         assert tree["kind"] == "sweep-report"
         assert tree["pairs_checked"] == 450
 
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_fibers_match_the_full_grid(self, n):
+        # oracle: the whole uniform grid from 0, filtered by the floor
+        floor = constant(n - 2)
+        for bound in range(19):
+            report = cube_theorem_sweep(n, bound)
+            fibers = [d for d in uniform_types(bound, bound) if floor <= d]
+            assert report.fiber_count == len(fibers) == 2 * max(0, bound - n + 3) ** 2
+            assert report.pairs_checked == 9 * report.fiber_count
+            assert report.passed
+
     def test_validation(self):
         with pytest.raises(ValidityError):
             cube_theorem_sweep(3, 8)

@@ -12,23 +12,24 @@ loads its module on first read.
 
 from importlib import import_module as _import_module
 
-from .decorated import (
-    INF,
-    BasisKind,
-    BocksteinGroup,
-    DecoratedNumber,
-    Decoration,
-    DimensionType,
-    ExtNat,
-    NotRepresentableError,
-    ValidityError,
-    boltyanskii_type,
-    constant,
-)
-
-# The names each submodule serves, bound here on the first read of any of
-# them (PEP 562), so that later reads are plain attribute lookups.
-_ON_FIRST_READ = {
+# Every public name, once, under the module that defines it.  ``import
+# dimcalc`` binds the ``decorated`` row; every other row is bound on the
+# first read of any of its names (PEP 562), so that later reads are plain
+# attribute lookups.
+_SERVED = {
+    "decorated": (
+        "INF",
+        "BasisKind",
+        "BocksteinGroup",
+        "DecoratedNumber",
+        "Decoration",
+        "DimensionType",
+        "ExtNat",
+        "NotRepresentableError",
+        "ValidityError",
+        "boltyanskii_type",
+        "constant",
+    ),
     "exprs": (
         "EvaluationError",
         "Expr",
@@ -77,76 +78,30 @@ _ON_FIRST_READ = {
         "union_bound",
     ),
 }
-_HOME = {name: module for module, names in _ON_FIRST_READ.items() for name in names}
+_HOME = {name: module for module, names in _SERVED.items() for name in names}
+
+
+def _bind(module: str):
+    namespace = _import_module(f"{__name__}.{module}")
+    globals().update({name: getattr(namespace, name) for name in _SERVED[module]})
+    return namespace
 
 
 def __getattr__(name: str):
-    module = name if name in _ON_FIRST_READ else _HOME.get(name)
+    module = name if name in _SERVED else _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    namespace = _import_module(f"{__name__}.{module}")
-    globals().update({served: getattr(namespace, served) for served in _ON_FIRST_READ[module]})
+    namespace = _bind(module)
     return namespace if name == module else globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_ON_FIRST_READ, *_HOME})
+    return sorted({*globals(), *_SERVED, *_HOME})
 
+
+_bind("decorated")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "BasisKind",
-    "BocksteinGroup",
-    "Claim",
-    "ClaimResult",
-    "Cyclic",
-    "DecoratedNumber",
-    "Decoration",
-    "DimensionType",
-    "DirectSum",
-    "EvaluationError",
-    "Expr",
-    "ExtNat",
-    "Free",
-    "GroupExpr",
-    "LawReport",
-    "LocalizedIntegers",
-    "NotRepresentableError",
-    "PadicCircle",
-    "ParseError",
-    "Presented",
-    "PrimePredicate",
-    "Rationals",
-    "Scenario",
-    "ScenarioReport",
-    "SigmaSet",
-    "StructuralProfile",
-    "SweepReport",
-    "TypeMismatchError",
-    "ValidityError",
-    "bockstein_basis",
-    "boltyanskii_type",
-    "builtin_scenario",
-    "builtin_scenario_names",
-    "check_algebra_laws",
-    "constant",
-    "cube_theorem_sweep",
-    "decomposition_bound_holds",
-    "dim_with_coefficients",
-    "evaluate_expr",
-    "fiber_bound",
-    "free_parameters",
-    "kind_of",
-    "parse",
-    "profile",
-    "random_dimension_type",
-    "random_type_above",
-    "render",
-    "run_scenario",
-    "smith_normal_form",
-    "uniform_types",
-    "union_bound",
-    "__version__",
-]
+# INF first, then code-point order
+__all__ = [*sorted(_HOME, key=lambda name: (not name.isupper(), name)), "__version__"]

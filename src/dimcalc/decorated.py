@@ -138,16 +138,22 @@ def require_prime(p: object, what: str = "prime") -> int:
     return p  # type: ignore[return-value]
 
 
+def require_int(value: object, least: int | None, what: str) -> None:
+    """Raise ``ValidityError("{what}, got {value!r}")`` unless ``value`` is
+    an ``int``, not a ``bool``, and at least ``least`` (no bound when
+    ``least`` is None).
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            least is not None and value < least):
+        raise ValidityError(f"{what}, got {value!r}")
+
+
 class Decoration(IntEnum):
     """Singularity mark on a prime entry, ordered minus < none < plus."""
 
     MINUS = -1
     NONE = 0
     PLUS = 1
-
-    @property
-    def symbol(self) -> str:
-        return _SYMBOLS[self]
 
     @property
     def flipped(self) -> "Decoration":
@@ -569,6 +575,5 @@ def boltyanskii_type(n: int) -> DimensionType:
     >>> print(boltyanskii_type(6))
     {q=5; *=5+}
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidityError(f"the ceiling type needs an integer n >= 1, got {n!r}")
+    require_int(n, 1, "the ceiling type needs an integer n >= 1")
     return DimensionType(n - 1, decorated_number(n - 1, _PLUS))

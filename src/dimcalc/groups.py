@@ -30,6 +30,7 @@ from .decorated import (
     ExtNat,
     ValidityError,
     is_prime,
+    require_int,
     require_prime,
 )
 
@@ -111,8 +112,7 @@ class Free(GroupExpr):
     rank: int = 1
 
     def __post_init__(self):
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 0:
-            raise ValidityError(f"rank must be a non-negative integer, got {self.rank!r}")
+        require_int(self.rank, 0, "rank must be a non-negative integer")
 
     def __str__(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
@@ -125,8 +125,7 @@ class Cyclic(GroupExpr):
     modulus: int
 
     def __post_init__(self):
-        if isinstance(self.modulus, bool) or not isinstance(self.modulus, int) or self.modulus < 2:
-            raise ValidityError(f"modulus must be an integer >= 2, got {self.modulus!r}")
+        require_int(self.modulus, 2, "modulus must be an integer >= 2")
 
     def __str__(self) -> str:
         return f"Z/{self.modulus}"
@@ -169,16 +168,14 @@ class Presented(GroupExpr):
     relations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if isinstance(self.generators, bool) or not isinstance(self.generators, int) or self.generators < 0:
-            raise ValidityError(f"generator count must be >= 0, got {self.generators!r}")
+        require_int(self.generators, 0, "generator count must be >= 0")
         for row in self.relations:
             if len(row) != self.generators:
                 raise ValidityError(
                     f"relation {list(row)} has {len(row)} coefficients for {self.generators} generators"
                 )
             for c in row:
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise ValidityError(f"relation coefficient must be an integer, got {c!r}")
+                require_int(c, None, "relation coefficient must be an integer")
 
     def __str__(self) -> str:
         rows = ",".join("[" + ",".join(str(c) for c in row) + "]" for row in self.relations)

@@ -28,6 +28,7 @@ from .decorated import (
     ValidityError,
     constant,
     decorated_number,
+    require_int,
 )
 from .exprs import (
     EvaluationError,
@@ -308,10 +309,8 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
     >>> cube_theorem_sweep(6, 8).passed
     True
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 4:
-        raise ValidityError(f"the sweep needs an integer n >= 4, got {n!r}")
-    if isinstance(base_bound, bool) or not isinstance(base_bound, int) or base_bound < 0:
-        raise ValidityError(f"base bound must be a non-negative integer, got {base_bound!r}")
+    require_int(n, 4, "the sweep needs an integer n >= 4")
+    require_int(base_bound, 0, "base bound must be a non-negative integer")
 
     # dimension 2 forces every base and the value at Q under 2, so the
     # d_Y grid does not depend on base_bound
@@ -351,6 +350,9 @@ def _random_entry(
     return decorated_number(rng.randint(1, max_base), _MINUS)
 
 
+_MAX_BASE_RULE = "random generation needs an integer max_base >= 1"
+
+
 def random_dimension_type(
     rng: random.Random,
     max_base: int = 12,
@@ -358,7 +360,7 @@ def random_dimension_type(
     star_safe: bool = False,
 ) -> DimensionType:
     """One uniformly scattered valid type with exceptions on the given primes."""
-    _check_max_base(max_base)
+    require_int(max_base, 1, _MAX_BASE_RULE)
     q = rng.randint(0, max_base)
     default = _random_entry(rng, q, max_base, star_safe)
     exceptions = {
@@ -382,7 +384,7 @@ def random_type_above(
     sorted list of those entries, and it leaves the generator in the same
     state, but only the drawn entry is built.
     """
-    _check_max_base(max_base)
+    require_int(max_base, 1, _MAX_BASE_RULE)
     top = max_base + 1
     for value in (d.rational, d.default.base, *(e.base for _, e in d.exceptions)):
         if value is INF or value > top:
@@ -414,11 +416,6 @@ def random_type_above(
         entry_above(d.default),
         {p: entry_above(e) for p, e in d.exceptions},
     )
-
-
-def _check_max_base(max_base: int) -> None:
-    if isinstance(max_base, bool) or not isinstance(max_base, int) or max_base < 1:
-        raise ValidityError(f"random generation needs an integer max_base >= 1, got {max_base!r}")
 
 
 def _audit_canonical(d: DimensionType) -> bool:
@@ -490,8 +487,7 @@ def check_algebra_laws(seed: int = 0, samples: int = 10000, max_base: int = 12) 
     >>> check_algebra_laws(seed=1, samples=200).passed
     True
     """
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValidityError(f"the law suite needs an integer samples >= 1, got {samples!r}")
+    require_int(samples, 1, "the law suite needs an integer samples >= 1")
 
     def draw(rng, count, star_safe=False, above=False):
         # count types, then, if above, one type above each in the same order

@@ -10,6 +10,7 @@ import hashlib
 import importlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -62,6 +63,12 @@ def test_all_is_unchanged():
     assert dimcalc.__version__ == "0.1.0"
     assert hashlib.sha256("\n".join(dimcalc.__all__).encode()).hexdigest() == (
         "f3d5596681abfa05ae8456d08251fdd87b1bdabde592b13e3931e47141336017")
+
+
+def test_no_name_is_in_two_rows_of_the_table():
+    # a name in two rows would be bound from whichever module was read first
+    rows = Counter(name for names in dimcalc._SERVED.values() for name in names)
+    assert [name for name, count in rows.items() if count > 1] == []
 
 
 @pytest.mark.parametrize("name", ["nosuch", "cli_main", "import_module"])

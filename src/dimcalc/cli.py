@@ -18,8 +18,8 @@ The work of one run is capped: ``sweep --bound`` at MAX_BOUND, the
 length of an ``--n`` range at MAX_N_RUNS and ``--samples`` at
 MAX_SAMPLES.  Going over a cap is an invalid value.
 
-Exit codes: 0 for success (and true comparisons), 1 for a false
-comparison or failed report, 2 for any error.
+Exit codes, set in ``main`` alone: 0 for success (and true comparisons),
+1 for a false comparison or failed report, 2 for any error.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .exprs import (
     EvaluationError,
     ParseError,
     TypeMismatchError,
+    _need,
     evaluate_expr,
     formatted,
-    kind_of,
     parse,
     render,
 )
@@ -59,6 +59,7 @@ MAX_N_RUNS = 1000  # most values in one --n range, each one scenario run
 MAX_SAMPLES = 10_000  # largest --samples of the law suite, its default
 _BOUND = re.compile(rf"-?[{_DIGIT}]+")  # an --n bound: ASCII digits, as in the language
 _ECHO = 40  # an error quotes a text this long whole, a longer one cut and '...'
+_TARGETS = (*builtin_scenario_names(), "laws")  # the builtin names of verify --scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a claim scenario or the law suites")
     p_verify.add_argument(
         "--scenario", required=True,
-        help="builtin name (%s, laws) or path to a scenario file"
-        % ", ".join(builtin_scenario_names()))
+        help="builtin name (%s) or path to a scenario file" % ", ".join(_TARGETS))
     p_verify.add_argument(
         "--n", dest="n_range", metavar="A..B",
         help="bind the parameter n to one value or to every value of a range, at most "
@@ -136,12 +136,9 @@ def _at_most(cap: int, option: str, value: int) -> int:
     return value
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[str, object]:
     value = evaluate_expr(parse(args.expression))
-    print(render(value, args.format))
-    if isinstance(value, bool):
-        return 0 if value else 1
-    return 0
+    return render(value, args.format), value
 
 
 def _resolve_scenario(name: str) -> Scenario:
@@ -152,40 +149,35 @@ def _resolve_scenario(name: str) -> Scenario:
             return Scenario.from_path(name)
     except OSError as err:  # str(err) would quote the whole path
         raise OSError(f"[Errno {err.errno}] {err.strerror}: {_echo(err.filename)}") from None
-    known = ", ".join((*builtin_scenario_names(), "laws"))
-    raise ValidityError(f"no builtin scenario or file named {_echo(name)} (builtins: {known})")
+    raise ValidityError(f"no builtin scenario or file named {_echo(name)} "
+                        f"(builtins: {', '.join(_TARGETS)})")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, bool]:
     if args.scenario == "laws":
         report = check_algebra_laws(
             seed=args.seed, samples=_at_most(MAX_SAMPLES, "--samples", args.samples))
-        print(report.render(args.format))
-        return 0 if report.passed else 1
+        return report.render(args.format), report.passed
     scenario = _resolve_scenario(args.scenario)
     if args.n_range is not None:
         runs = [{"n": value} for value in _parse_n_range(args.n_range)]
     else:
         runs = [{}]
     reports = [run_scenario(scenario, bindings) for bindings in runs]
-    print(formatted(args.format, lambda: "\n\n".join(r.render("pretty") for r in reports),
-                    lambda: [r.tree() for r in reports]))
-    return 0 if all(r.passed for r in reports) else 1
+    text = formatted(args.format, lambda: "\n\n".join(r.render("pretty") for r in reports),
+                     lambda: [r.tree() for r in reports])
+    return text, all(r.passed for r in reports)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, bool]:
     report = cube_theorem_sweep(args.n, _at_most(MAX_BOUND, "--bound", args.bound))
-    print(report.render(args.format))
-    return 0 if report.passed else 1
+    return report.render(args.format), report.passed
 
 
-def _cmd_sigma(args) -> int:
+def _cmd_sigma(args) -> tuple[str, None]:
     expr = parse(args.group)
-    if kind_of(expr) != "group":
-        raise TypeMismatchError(
-            f"sigma needs a group expression, found {kind_of(expr)}", expr.line, expr.column)
-    print(render(bockstein_basis(evaluate_expr(expr)), args.format))
-    return 0
+    _need(expr, "group", "sigma needs a group expression, found {}", expr)
+    return render(bockstein_basis(evaluate_expr(expr)), args.format), None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -195,10 +187,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse usage errors already print; keep code 2
         return 2 if exit_.code else 0
     try:
-        return args.handler(args)
+        text, verdict = args.handler(args)
+        print(text)
     except (ParseError, TypeMismatchError, ValidityError, EvaluationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0 if verdict is not False else 1  # False: a false comparison or failed report
 
 
 if __name__ == "__main__":

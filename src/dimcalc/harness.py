@@ -238,8 +238,6 @@ def builtin_scenario_names() -> tuple[str, ...]:
 
 
 def builtin_scenario(name: str) -> Scenario:
-    if name not in _BUILTIN_TEXTS:
-        raise KeyError(name)
     return Scenario.from_text(name, _BUILTIN_TEXTS[name])
 
 
@@ -253,12 +251,13 @@ def uniform_types(max_rational: int, max_base: int) -> Iterator[DimensionType]:
 
 
 def _uniform_types(low: int, max_rational: int, max_base: int) -> Iterator[DimensionType]:
-    # the grid with the value at Q and every base in low .. the bounds
+    # the value at Q and every base in low .. the bounds, with a minus mark
+    # only above low: the uniform types >= constant(low) within the bounds
     for q in range(low, max_rational + 1):
         yield DimensionType(q, decorated_number(q, _NONE))
         for base in range(low, max_base + 1):
             yield DimensionType(q, decorated_number(base, _PLUS))
-            if base > 0:
+            if base > low:
                 yield DimensionType(q, decorated_number(base, _MINUS))
 
 
@@ -301,10 +300,10 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
     For every uniform base type d_Y of dimension 2: (a) unless d_Y is
     full-valued, the shifted bound d_Y + (n-3) cannot dominate
     constant(n-1); (b) the product with any fiber type d_F at least
-    constant(n-2) reaches dimension n.  The fiber grid starts at the
-    floor: the value at Q and every base run from n-2, and the filter
-    drops the (n-2)- entries.  An empty fiber grid (base bound below n-2)
-    passes vacuously.
+    constant(n-2) reaches dimension n.  The fiber grid is exactly the
+    uniform types at least constant(n-2) within the bound, so nothing is
+    filtered: the value at Q and every base run from n-2, with no (n-2)-
+    entry.  An empty fiber grid (base bound below n-2) passes vacuously.
 
     >>> cube_theorem_sweep(6, 8).passed
     True
@@ -315,24 +314,17 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
     # dimension 2 forces every base and the value at Q under 2, so the
     # d_Y grid does not depend on base_bound
     dim2 = [d for d in uniform_types(2, 2) if d.dim() == 2]
-    floor = constant(n - 2)
-    fibers = [d for d in _uniform_types(n - 2, base_bound, base_bound) if floor <= d]
-
-    counterexamples: list[str] = []
+    fibers = list(_uniform_types(n - 2, base_bound, base_bound))
     ceiling = constant(n - 1)
-    for d_y in dim2:
-        if not d_y.is_full_valued() and ceiling <= d_y + (n - 3):
-            counterexamples.append(
-                f"shift bound: constant({n - 1}) <= {d_y} + {n - 3}")
-    pairs = 0
-    for d_y in dim2:
-        for d_f in fibers:
-            pairs += 1
-            if not d_y.boxplus(d_f).dim() >= n:
-                counterexamples.append(
-                    f"product dimension: dim({d_y} boxplus {d_f}) < {n}")
-    return SweepReport(
-        n, base_bound, len(dim2), len(fibers), pairs, tuple(counterexamples))
+    counterexamples = [
+        f"shift bound: constant({n - 1}) <= {d_y} + {n - 3}"
+        for d_y in dim2 if not d_y.is_full_valued() and ceiling <= d_y + (n - 3)
+    ] + [
+        f"product dimension: dim({d_y} boxplus {d_f}) < {n}"
+        for d_y in dim2 for d_f in fibers if d_y.boxplus(d_f).dim() < n
+    ]
+    return SweepReport(n, base_bound, len(dim2), len(fibers), len(dim2) * len(fibers),
+                       tuple(counterexamples))
 
 
 # -- seeded random law suites ---------------------------------------------

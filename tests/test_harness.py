@@ -319,12 +319,14 @@ class TestCubeSweep:
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_fibers_match_the_full_grid(self, n):
+        from dimcalc.harness import _uniform_types
         # oracle: the whole uniform grid from 0, filtered by the floor
         floor = constant(n - 2)
         for bound in range(19):
             report = cube_theorem_sweep(n, bound)
             fibers = [d for d in uniform_types(bound, bound) if floor <= d]
             assert report.fiber_count == len(fibers) == 2 * max(0, bound - n + 3) ** 2
+            assert list(_uniform_types(n - 2, bound, bound)) == fibers
             assert report.pairs_checked == 9 * report.fiber_count
             assert report.passed
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from operator import and_, or_
 from typing import Sequence
 
@@ -86,6 +85,8 @@ class PrimePredicate:
 
 _ALWAYS = PrimePredicate(True)
 _NEVER = PrimePredicate(False)
+# marks a torsion-free quotient p-divisible at no prime p, such as Z^r for r > 0
+_EVERY_PRIME, _NO_PRIMES = object(), frozenset()
 
 
 class GroupExpr:
@@ -189,6 +190,9 @@ class DirectSum(GroupExpr):
     def __post_init__(self):
         if len(self.parts) < 2:
             raise ValidityError("a direct sum needs at least two summands")
+        for part in self.parts:
+            if not isinstance(part, GroupExpr):
+                raise TypeError(f"not a coefficient group: {part!r}")
 
     def __str__(self) -> str:
         return " + ".join(str(p) for p in self.parts)
@@ -286,8 +290,8 @@ def _prime_factors(n: int) -> set[int]:
 class StructuralProfile:
     """The four per-prime facts that determine a Bockstein basis.
 
-    Invariant, met by every ``profile`` case and kept by a direct sum: zero
-    p-torsion is p-divisible; a zero torsion-free quotient is divisible at all p.
+    Invariant of the set-based profile, kept by a direct sum: non-divisible
+    p-torsion primes are p-torsion primes; a zero free quotient is divisible at all p.
     """
 
     free_quotient_nonzero: bool
@@ -296,38 +300,44 @@ class StructuralProfile:
     torsion_divisible: PrimePredicate
 
 
-def profile(group: GroupExpr) -> StructuralProfile:
-    """Structural facts about the torsion-free quotient and p-torsion."""
+def _profile(group: GroupExpr) -> tuple:
+    # (free quotient nonzero, primes where it is not p-divisible or _EVERY_PRIME,
+    # primes with p-torsion, primes where that p-torsion is not p-divisible)
     match group:
-        case Rationals():
-            return StructuralProfile(True, _ALWAYS, _NEVER, _ALWAYS)
-        case Free(rank=r):
-            return StructuralProfile(r > 0, _ALWAYS if r == 0 else _NEVER, _NEVER, _ALWAYS)
-        case Cyclic(modulus=m):
-            torsion = PrimePredicate(False, frozenset(_prime_factors(m)))
-            return StructuralProfile(False, _ALWAYS, torsion, ~torsion)
-        case PadicCircle(prime=p):
-            return StructuralProfile(False, _ALWAYS, PrimePredicate(False, frozenset({p})), _ALWAYS)
-        case LocalizedIntegers(prime=p):
-            return StructuralProfile(True, PrimePredicate(True, frozenset({p})), _NEVER, _ALWAYS)
-        case Presented(generators=g, relations=rel):
-            rank, factors = smith_normal_form(rel, g)
-            # every invariant factor divides the last one
-            primes = _prime_factors(factors[-1]) if factors else ()
-            torsion = PrimePredicate(False, frozenset(primes))
-            return StructuralProfile(
-                rank > 0, _ALWAYS if rank == 0 else _NEVER, torsion, ~torsion
-            )
         case DirectSum(parts=parts):
             # a sum is p-divisible exactly when every summand is: the free
             # quotient and p-torsion both split across summands
-            profiles = [profile(part) for part in parts]
-            free = [pr.free_quotient_divisible for pr in profiles if pr.free_quotient_nonzero]
-            return StructuralProfile(bool(free), reduce(and_, free) if free else _ALWAYS,
-                                     reduce(or_, [pr.torsion_nonzero for pr in profiles]),
-                                     reduce(and_, [pr.torsion_divisible for pr in profiles]))
+            free, free_rough, torsion, rough = zip(*map(_profile, parts))
+            return (any(free), _EVERY_PRIME if _EVERY_PRIME in free_rough
+                    else _NO_PRIMES.union(*free_rough),
+                    _NO_PRIMES.union(*torsion), _NO_PRIMES.union(*rough))
+        case Rationals():
+            return True, _NO_PRIMES, _NO_PRIMES, _NO_PRIMES
+        case Free(rank=r):
+            return r > 0, _EVERY_PRIME if r else _NO_PRIMES, _NO_PRIMES, _NO_PRIMES
+        case Cyclic(modulus=m):
+            torsion = frozenset(_prime_factors(m))
+            return False, _NO_PRIMES, torsion, torsion
+        case PadicCircle(prime=p):
+            return False, _NO_PRIMES, frozenset({p}), _NO_PRIMES
+        case LocalizedIntegers(prime=p):
+            return True, frozenset({p}), _NO_PRIMES, _NO_PRIMES
+        case Presented(generators=g, relations=rel):
+            rank, factors = smith_normal_form(rel, g)
+            # every invariant factor divides the last one
+            torsion = frozenset(_prime_factors(factors[-1]) if factors else ())
+            return rank > 0, _EVERY_PRIME if rank else _NO_PRIMES, torsion, torsion
         case _:
             raise TypeError(f"not a coefficient group: {group!r}")
+
+
+def profile(group: GroupExpr) -> StructuralProfile:
+    """Structural facts about the torsion-free quotient and p-torsion, each
+    predicate built once from the set-based profile ``bockstein_basis`` reads."""
+    free, free_rough, torsion, rough = _profile(group)
+    divisible = _NEVER if free_rough is _EVERY_PRIME else PrimePredicate(True, free_rough)
+    return StructuralProfile(free, divisible, PrimePredicate(False, torsion),
+                             PrimePredicate(True, rough))
 
 
 @dataclass(frozen=True)
@@ -378,7 +388,7 @@ class SigmaSet:
 def bockstein_basis(group: GroupExpr) -> SigmaSet:
     """The Bockstein basis sigma(G) of a coefficient group.
 
-    Membership is decided per prime from the structural profile: Z_(p)
+    Membership is read off the set-based profile that ``profile`` wraps: Z_(p)
     enters when the torsion-free quotient is not p-divisible, Z/p when
     the p-torsion is not p-divisible (non-divisible torsion is nonzero),
     Z_{p^inf} when it is nonzero and p-divisible, and Q when the
@@ -389,12 +399,10 @@ def bockstein_basis(group: GroupExpr) -> SigmaSet:
     >>> print(bockstein_basis(PadicCircle(2) + Free(1)))
     {Z_2^inf; Z_(p): all p}
     """
-    pr = profile(group)
-    rationals = pr.free_quotient_nonzero and pr.free_quotient_divisible.always()
-    cyclic = ~pr.torsion_divisible
-    circle = pr.torsion_nonzero & pr.torsion_divisible
-    localized = ~pr.free_quotient_divisible if pr.free_quotient_nonzero else _NEVER
-    return SigmaSet(rationals, cyclic, circle, localized)
+    free, free_rough, torsion, rough = _profile(group)
+    localized = _ALWAYS if free_rough is _EVERY_PRIME else PrimePredicate(False, free_rough)
+    return SigmaSet(free and not free_rough, PrimePredicate(False, rough),
+                    PrimePredicate(False, torsion - rough), localized)
 
 
 def _generic_prime(marked: tuple[int, ...]) -> int:
@@ -417,6 +425,8 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     >>> dim_with_coefficients(DimensionType(2, DecoratedNumber(3, Decoration.MINUS)), Free(1))
     3
     """
+    if not isinstance(d, DimensionType):
+        raise TypeError(f"expected a DimensionType, got {d!r}")
     sigma = bockstein_basis(group)
     values: list[ExtNat] = [d.rational] if sigma.rationals else []
     marked = tuple(sorted({*d.exception_primes(), *sigma.exception_primes()}))

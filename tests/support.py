@@ -2,8 +2,9 @@
 
 Everything here is written from the defining formulas, not from the
 package internals: the order oracle compares evaluations group by
-group, and the Smith normal form oracle goes through determinantal
-divisors.  Slow and obviously correct beats fast and clever in a test
+group, the Smith normal form oracle goes through determinantal
+divisors, and the Bockstein basis oracle splits a group into its
+elementary summands.  Slow and obviously correct beats fast and clever in a test
 oracle.
 """
 
@@ -14,8 +15,22 @@ import string
 from itertools import combinations
 
 from hypothesis import strategies as st
+from sympy import factorint
 
-from dimcalc import INF, BocksteinGroup, DecoratedNumber, Decoration, DimensionType
+from dimcalc import (
+    INF,
+    BocksteinGroup,
+    Cyclic,
+    DecoratedNumber,
+    Decoration,
+    DimensionType,
+    DirectSum,
+    Free,
+    LocalizedIntegers,
+    PadicCircle,
+    Presented,
+    Rationals,
+)
 
 ORACLE_PRIMES = (2, 3, 5, 7, 11)
 EXCEPTION_PRIMES = (2, 3, 5, 7)
@@ -83,6 +98,56 @@ def det_invariants(relations, generators: int):
         previous = divisor
         matrix_rank = k
     return generators - matrix_rank, [f for f in factors if f != 1]
+
+
+def elementary_summands(group):
+    """The group as a direct sum of Q, Z, Z/p^k, Z_{p^inf} and Z_(p), each
+    given as (name, prime or None); the torsion of a presentation comes
+    from its determinantal invariant factors."""
+    if isinstance(group, DirectSum):
+        return [piece for part in group.parts for piece in elementary_summands(part)]
+    if isinstance(group, Rationals):
+        return [("Q", None)]
+    if isinstance(group, Free):
+        return [("Z", None)] * group.rank
+    if isinstance(group, Cyclic):
+        return [("Z/p^k", p) for p in factorint(group.modulus)]
+    if isinstance(group, PadicCircle):
+        return [("Z_{p^inf}", group.prime)]
+    if isinstance(group, LocalizedIntegers):
+        return [("Z_(p)", group.prime)]
+    if isinstance(group, Presented):
+        rank, factors = det_invariants(group.relations, group.generators)
+        return [("Z", None)] * rank + [("Z/p^k", p) for f in factors for p in factorint(f)]
+    raise TypeError(f"not a coefficient group: {group!r}")
+
+
+def sigma_oracle(group, primes):
+    """The members of sigma(G) among Q and the Bockstein groups at ``primes``.
+
+    From the definitions: the torsion-free quotient of G is the sum of its
+    Q, Z and Z_(q) summands, and Q and Z_(q), q != p, are p-divisible while
+    Z is not; its p-torsion is the sum of its Z/p^k and Z_{p^inf} summands,
+    and only Z_{p^inf} is p-divisible.  Z_(p) is a member when the
+    torsion-free quotient is not p-divisible, Z/p when the p-torsion is not
+    p-divisible, Z_{p^inf} when the p-torsion is nonzero and p-divisible,
+    and Q when the torsion-free quotient is nonzero and divisible at every
+    prime.
+    """
+    pieces = elementary_summands(group)
+    free = [(name, q) for name, q in pieces if name in ("Q", "Z", "Z_(p)")]
+    members = set()
+    if free and all(name == "Q" for name, _ in free):
+        members.add(BocksteinGroup.rationals())
+    for p in primes:
+        if ("Z", None) in free or ("Z_(p)", p) in free:
+            members.add(BocksteinGroup.localized(p))
+        torsion = [name for name, q in pieces if q == p and name in ("Z/p^k", "Z_{p^inf}")]
+        if "Z/p^k" in torsion:
+            members.add(BocksteinGroup.cyclic(p))
+        elif torsion:
+            members.add(BocksteinGroup.circle(p))
+    return members
 
 
 # -- hypothesis strategies -------------------------------------------------

@@ -23,6 +23,7 @@ from dimcalc import (
     PrimePredicate,
     Rationals,
     SigmaSet,
+    StructuralProfile,
     ValidityError,
     bockstein_basis,
     boltyanskii_type,
@@ -32,7 +33,14 @@ from dimcalc import (
     render,
     smith_normal_form,
 )
-from support import ORACLE_PRIMES, bockstein_groups, det_invariants, dimension_types
+from support import (
+    ORACLE_PRIMES,
+    bockstein_groups,
+    det_invariants,
+    dimension_types,
+    elementary_summands,
+    sigma_oracle,
+)
 
 
 class TestPrimePredicate:
@@ -114,6 +122,13 @@ class TestGroupExpressions:
         with pytest.raises(ValidityError) as caught:
             Presented(*args)
         assert str(caught.value) == message
+
+    def test_sum_rejects_a_summand_that_is_not_a_group(self):
+        # the same error as profile gives for a value that is not a group
+        for build in (lambda: DirectSum((Cyclic(2), "Z")), lambda: profile("Z")):
+            with pytest.raises(TypeError) as caught:
+                build()
+            assert str(caught.value) == "not a coefficient group: 'Z'"
 
     def test_sum_flattens(self):
         total = Cyclic(2) + Cyclic(3) + Free(1)
@@ -393,6 +408,11 @@ class TestDimWithCoefficients:
     def test_matches_reduction_oracle(self, d, group):
         assert dim_with_coefficients(d, group) == reduction_oracle(d, group)
 
+    def test_rejects_a_value_that_is_not_a_type(self):
+        with pytest.raises(TypeError) as caught:
+            dim_with_coefficients(5, Free(1))
+        assert str(caught.value) == "expected a DimensionType, got 5"
+
     def test_integer_coefficients(self):
         for n in range(1, 8):
             assert dim_with_coefficients(boltyanskii_type(n), Free(1)) == n
@@ -550,3 +570,38 @@ class TestProfileInvariant:
         nested = DirectSum((DirectSum((Cyclic(2), Free(1))), PadicCircle(3)))
         assert flattened(nested) == Cyclic(2) + Free(1) + PadicCircle(3)
         assert profile(nested) == profile(flattened(nested))
+
+
+def folded_profile(group):
+    """The profile of a group as the fold of its leaves' profiles under the
+    public predicate algebra: the reference definition of a direct sum."""
+    if not isinstance(group, DirectSum):
+        return profile(group)
+    profiles = [profile(leaf) for leaf in flattened(group).parts]
+    free = [pr.free_quotient_divisible for pr in profiles if pr.free_quotient_nonzero]
+    return StructuralProfile(
+        bool(free), reduce(operator.and_, free, PrimePredicate(True)),
+        reduce(operator.or_, [pr.torsion_nonzero for pr in profiles]),
+        reduce(operator.and_, [pr.torsion_divisible for pr in profiles]))
+
+
+def basis_from_profile(pr):
+    """The Bockstein basis read off a profile with the public ~ and &."""
+    localized = ~pr.free_quotient_divisible if pr.free_quotient_nonzero else PrimePredicate(False)
+    return SigmaSet(pr.free_quotient_nonzero and pr.free_quotient_divisible.always(),
+                    ~pr.torsion_divisible, pr.torsion_nonzero & pr.torsion_divisible, localized)
+
+
+class TestSigmaOracle:
+    """Bases and profiles against two references that do not read the
+    set-based sum: the elementary summands of ``support.sigma_oracle``, and
+    the fold of the leaves' profiles under ``&``, ``|`` and ``~``."""
+
+    @given(GROUP_EXPRS)
+    def test_basis_and_profile_match_references(self, group):
+        sigma, pr = bockstein_basis(group), profile(group)
+        primes = sorted({*sigma.exception_primes(), GENERIC_PRIME,
+                         *(q for _, q in elementary_summands(group) if q)})
+        assert {g for g in bockstein_groups(primes) if g in sigma} == sigma_oracle(group, primes)
+        assert pr == folded_profile(group)
+        assert sigma == basis_from_profile(pr)

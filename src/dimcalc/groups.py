@@ -52,6 +52,13 @@ class PrimePredicate:
         for p in self.exceptions:
             require_prime(p, "exception")
 
+    def __repr__(self) -> str:
+        # the dataclass format with the primes sorted: equal predicates print
+        # alike, whatever order built their sets
+        primes = ", ".join(map(repr, sorted(self.exceptions)))
+        exceptions = f"frozenset({{{primes}}})" if primes else "frozenset()"
+        return f"PrimePredicate(default={self.default!r}, exceptions={exceptions})"
+
     def __call__(self, p: int) -> bool:
         require_prime(p)
         return self.default != (p in self.exceptions)
@@ -87,6 +94,15 @@ _ALWAYS = PrimePredicate(True)
 _NEVER = PrimePredicate(False)
 # marks a torsion-free quotient p-divisible at no prime p, such as Z^r for r > 0
 _EVERY_PRIME, _NO_PRIMES = object(), frozenset()
+
+
+def _predicate(default: bool, primes) -> PrimePredicate:
+    # the predicate that is ``default`` except at ``primes`` (a set or _EVERY_PRIME)
+    if primes is _EVERY_PRIME:
+        return _NEVER if default else _ALWAYS
+    if not primes:
+        return _ALWAYS if default else _NEVER
+    return PrimePredicate(default, primes)
 
 
 class GroupExpr:
@@ -335,9 +351,8 @@ def profile(group: GroupExpr) -> StructuralProfile:
     """Structural facts about the torsion-free quotient and p-torsion, each
     predicate built once from the set-based profile ``bockstein_basis`` reads."""
     free, free_rough, torsion, rough = _profile(group)
-    divisible = _NEVER if free_rough is _EVERY_PRIME else PrimePredicate(True, free_rough)
-    return StructuralProfile(free, divisible, PrimePredicate(False, torsion),
-                             PrimePredicate(True, rough))
+    return StructuralProfile(free, _predicate(True, free_rough), _predicate(False, torsion),
+                             _predicate(True, rough))
 
 
 @dataclass(frozen=True)
@@ -400,9 +415,8 @@ def bockstein_basis(group: GroupExpr) -> SigmaSet:
     {Z_2^inf; Z_(p): all p}
     """
     free, free_rough, torsion, rough = _profile(group)
-    localized = _ALWAYS if free_rough is _EVERY_PRIME else PrimePredicate(False, free_rough)
-    return SigmaSet(free and not free_rough, PrimePredicate(False, rough),
-                    PrimePredicate(False, torsion - rough), localized)
+    return SigmaSet(free and not free_rough, _predicate(False, rough),
+                    _predicate(False, torsion - rough), _predicate(False, free_rough))
 
 
 def _generic_prime(marked: tuple[int, ...]) -> int:

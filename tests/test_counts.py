@@ -75,11 +75,11 @@ CEILINGS = {
               "decorated.dim": 477, "decorated.le": 8, "decorated.decnum": 30},
     "narrow-sweep": {"decorated.construct": 1016, "decorated.le": 8},
     "language": {"exprs.parse": 10, "exprs.evaluate": 134, "decorated.construct": 35,
-                 "decorated.is_prime": 5, "groups.predicate": 3, "decorated.decnum": 12},
+                 "decorated.is_prime": 5, "groups.predicate": 1, "decorated.decnum": 12},
     # the dim_with_coefficients example alone makes 2 predicates and reads
     # each of its 3 marked primes once, building no BocksteinGroup
     "groups": {"exprs.parse": 0, "exprs.evaluate": 0, "decorated.construct": 1,
-               "decorated.is_prime": 24, "groups.predicate": 16, "decorated.decnum": 2,
+               "decorated.is_prime": 24, "groups.predicate": 5, "decorated.decnum": 2,
                "decorated.entry": 3, "decorated.basis_group": 0, "decorated.value_at": 0},
 }
 

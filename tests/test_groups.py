@@ -98,6 +98,15 @@ class TestPrimePredicate:
         with pytest.raises(ValidityError):
             PrimePredicate(True)(1)
 
+    def test_equal_predicates_print_alike(self):
+        # a frozenset iterates in the order it was built: 3 and 11 share a hash slot
+        a, b = PrimePredicate(False, frozenset([3, 11])), PrimePredicate(False, frozenset([11, 3]))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "PrimePredicate(default=False, exceptions=frozenset({3, 11}))"
+        assert repr(PrimePredicate(True)) == "PrimePredicate(default=True, exceptions=frozenset())"
+        one, other = profile(Cyclic(33) + Cyclic(3)), profile(Cyclic(11) + Cyclic(3))
+        assert one == other and render(one) == render(other) == str(one)
+
 
 class TestGroupExpressions:
     def test_validation(self):

@@ -3,18 +3,13 @@
 A count, a modulus, a bound or a coefficient must be an ``int`` that is
 not a ``bool``, and at least the site's lower bound where it has one.
 ``decorated.require_int`` states that rule once; each site names what it
-checks, and the rejection reads ``"<what>, got <value!r>"``.  The guard
-below fails on an ``if`` that tests ``isinstance(..., bool)`` and raises
-``ValidityError`` outside ``require_int``, which would state the rule a
-second time.  Checks that do not raise ``ValidityError`` (``is_prime``,
-a shift's ``NotImplemented``, ``is_boltyanskii``'s ``False``,
-``as_extnat``, which also takes ``inf``, and the language's parameter
-check) are other rules and are not looked at.
+checks, and the rejection reads ``"<what>, got <value!r>"``.  The table
+below drives each site with a ``bool``, a float and a value below its
+bound, and checks that the bound itself is accepted.  That no other code
+restates the rule is a row of ``tests/test_source_rules.py``.
 """
 
-import ast
 import random
-from pathlib import Path
 
 import pytest
 
@@ -30,9 +25,6 @@ from dimcalc import (
     random_dimension_type,
     random_type_above,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src" / "dimcalc"
-MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
 @pytest.mark.parametrize("build, what, least", [
@@ -59,60 +51,3 @@ def test_each_integer_argument_rejects_a_bool_a_float_and_a_value_below_its_boun
             build(value)
         assert str(caught.value) == f"{what}, got {value!r}"
     build(0 if least is None else least)  # the bound itself is accepted
-
-
-def restated_int_rules(source: str) -> list[str]:
-    tree = ast.parse(source)
-    exempt = {id(node) for function in ast.walk(tree)
-              if isinstance(function, ast.FunctionDef) and function.name == "require_int"
-              for node in ast.walk(function)}
-    found = []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.If) and id(node) not in exempt
-                and any(is_bool_test(call) for call in ast.walk(node.test))
-                and any(raises_validity_error(statement) for statement in node.body)):
-            found.append(f"line {node.lineno}: isinstance(..., bool) raising ValidityError")
-    return found
-
-
-def is_bool_test(node) -> bool:
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance" and len(node.args) == 2
-            and isinstance(node.args[1], ast.Name) and node.args[1].id == "bool")
-
-
-def raises_validity_error(statement) -> bool:
-    if not isinstance(statement, ast.Raise) or statement.exc is None:
-        return False
-    raised = statement.exc.func if isinstance(statement.exc, ast.Call) else statement.exc
-    return isinstance(raised, ast.Name) and raised.id == "ValidityError"
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_the_integer_rule_is_stated_only_in_require_int(module):
-    assert restated_int_rules((SRC / module).read_text(encoding="utf-8")) == []
-
-
-def test_the_guard_sees_a_restated_integer_rule():
-    source = '''def require_int(value, least, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidityError(what)
-
-def f(n, rows):
-    if isinstance(n, bool) or n < 1:
-        raise ValidityError("n")
-    for c in rows:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValidityError
-    if isinstance(n, bool):
-        return NotImplemented
-    if isinstance(n, bool):
-        raise EvaluationError("n")
-    if isinstance(n, int) and not isinstance(n, bool):
-        if n < 0:
-            raise ValidityError("n")
-'''
-    assert restated_int_rules(source) == [
-        "line 6: isinstance(..., bool) raising ValidityError",
-        "line 9: isinstance(..., bool) raising ValidityError",
-    ]

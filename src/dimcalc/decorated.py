@@ -107,8 +107,6 @@ def _is_prime(n: int) -> bool:
     for b in _BASES:
         if n % b == 0:
             return n == b
-    if n < 43 * 43:
-        return True
     if n >= PRIME_BOUND:
         raise ValidityError(
             f"cannot decide whether {n} is prime: candidates must be below {PRIME_BOUND}")
@@ -169,11 +167,6 @@ class Decoration(IntEnum):
         return min(self, other)
 
 
-def _dual_combine(a: Decoration, b: Decoration) -> Decoration:
-    # Mirror conjugate of the sign product: mixed signs give plus.
-    return a.flipped.combine(b.flipped).flipped
-
-
 # Reading a member off the enum class runs a descriptor (about 0.2 us in
 # Python 3.11), so every module reads the marks from these names, and
 # iterates them, in order, as _MARKS.
@@ -185,7 +178,8 @@ _SYMBOLS = {_MINUS: "-", _NONE: "", _PLUS: "+"}
 # Each sign rule tabulated once over the nine pairs of marks, so an entry
 # sum looks its mark up instead of calling the enum.
 _PRODUCT = {(a, b): a.combine(b) for a in _MARKS for b in _MARKS}
-_DUAL = {(a, b): _dual_combine(a, b) for a in _MARKS for b in _MARKS}
+# The dual rule is the mirror conjugate of the sign product: mixed signs give plus.
+_DUAL = {(a, b): a.flipped.combine(b.flipped).flipped for a in _MARKS for b in _MARKS}
 _FLIP = {m: m.flipped for m in _MARKS}
 
 

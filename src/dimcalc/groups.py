@@ -65,14 +65,8 @@ class PrimePredicate:
 
     def _pointwise(self, other: "PrimePredicate", op) -> "PrimePredicate":
         default = op(self.default, other.default)
-        mine, theirs = self.exceptions, other.exceptions
-        flipped = frozenset(p for p in mine | theirs
-                            if op(self.default != (p in mine), other.default != (p in theirs)) != default)
-        # an operand equal to the result is already validated: no rebuild
-        for operand in (self, other):
-            if operand.default == default and operand.exceptions == flipped:
-                return operand
-        return PrimePredicate(default, flipped)
+        return _predicate(default, frozenset(p for p in self.exceptions | other.exceptions
+                                             if op(self(p), other(p)) != default))
 
     def __and__(self, other: "PrimePredicate") -> "PrimePredicate":
         return self._pointwise(other, and_)
@@ -81,7 +75,7 @@ class PrimePredicate:
         return self._pointwise(other, or_)
 
     def __invert__(self) -> "PrimePredicate":
-        return PrimePredicate(not self.default, self.exceptions)
+        return _predicate(not self.default, self.exceptions)
 
     def always(self) -> bool:
         return self.default and not self.exceptions

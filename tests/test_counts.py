@@ -20,7 +20,7 @@ import pytest
 import dimcalc.cli  # noqa: F401  (instrument patches every module it lists)
 from dimcalc import check_algebra_laws, cube_theorem_sweep
 from dimcalc.decorated import Decoration, decorated_number
-from test_tracing import load_tracing
+from test_tracing import load_bench
 
 # the texts of the README's eval and sigma examples
 README_EVALS = ("dim(B(4) boxplus B(4))", "(DT{q=2; *=3-} oplus DT{q=2; *=1+}) + 1 == B(6)",
@@ -85,7 +85,7 @@ CEILINGS = {
 
 
 def span_counts(run) -> Counter:
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     decorated_number.cache_clear()
     with tracing.instrument(tracer):

@@ -33,6 +33,7 @@ from dimcalc import (
     render,
     smith_normal_form,
 )
+from dimcalc.groups import _ALWAYS, _NEVER
 from support import (
     ORACLE_PRIMES,
     bockstein_groups,
@@ -77,15 +78,15 @@ class TestPrimePredicate:
                 assert either == ~(~a & ~b)
                 assert ~not_a == a
 
-    def test_result_equal_to_an_operand_is_that_operand(self):
+    def test_constant_results_are_the_shared_constants(self):
         for default_a, default_b in itertools.product((False, True), repeat=2):
             for exc_a, exc_b in itertools.product(self.SUBSETS, repeat=2):
                 a, b = PrimePredicate(default_a, exc_a), PrimePredicate(default_b, exc_b)
-                for result in (a & b, a | b):
-                    if result == a:
-                        assert result is a
-                    elif result == b:
-                        assert result is b
+                for result in (a & b, a | b, ~a):
+                    if result.always():
+                        assert result is _ALWAYS
+                    elif result.never():
+                        assert result is _NEVER
 
     def test_canonical_exceptions(self):
         a = PrimePredicate(False, frozenset({2}))

@@ -8,10 +8,7 @@ dimension, and be undefined exactly where the model is.  ``<=`` and
 ``==`` must agree with the model's values compared one by one.
 """
 
-import importlib.util
 import operator
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -21,20 +18,9 @@ from dimcalc import Decoration, DimensionType, NotRepresentableError
 from dimcalc.decorated import _DUAL, _FLIP, _PRODUCT
 from dimcalc.exprs import to_json
 from support import decorated_entries, dimension_types
+from test_tracing import load_bench
 
-ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
-
-
-def load_oracles():
-    spec = importlib.util.spec_from_file_location("dimcalc_bench_oracles", ORACLES)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses looks the defining module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-oracles = load_oracles()
+oracles = load_bench("oracles")
 
 TYPES = st.one_of(dimension_types(), dimension_types(star_safe=True))
 

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from test_tracing import load_tracing
+from test_tracing import load_bench
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dimcalc"
 MODULES = tuple(sorted(path.name for path in SRC.glob("*.py")))
@@ -132,7 +132,7 @@ def floating_point(tree):
             yield node, f"{called(node)}(...)"
 
 
-TRACED = {path.rpartition(".")[2] for _, path, *_ in load_tracing().SPANS} - {"__init__"}
+TRACED = {path.rpartition(".")[2] for _, path, *_ in load_bench("tracing").SPANS} - {"__init__"}
 TABLES = (ast.Dict, ast.List, ast.Tuple, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 
 

@@ -16,18 +16,21 @@ from pathlib import Path
 import dimcalc
 from dimcalc.cli import main
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("dimcalc_bench_tracing", TRACING)
+def load_bench(name: str):
+    """Load ``bench/<name>.py`` by path, read-only, as a fresh module."""
+    spec = importlib.util.spec_from_file_location(f"dimcalc_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_span_target_is_defined_by_its_owner():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     missing = []
     for module, path, _, _ in tracing.SPANS:
         owner = importlib.import_module(f"dimcalc.{module}")
@@ -40,7 +43,7 @@ def test_every_span_target_is_defined_by_its_owner():
 
 
 def test_instrument_traces_and_restores(capsys):
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     parse = dimcalc.exprs.parse
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
@@ -51,7 +54,7 @@ def test_instrument_traces_and_restores(capsys):
 
 
 def test_importing_the_cli_loads_every_traced_module():
-    modules = {f"dimcalc.{module}" for module, *_ in load_tracing().SPANS}
+    modules = {f"dimcalc.{module}" for module, *_ in load_bench("tracing").SPANS}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, dimcalc.cli\nprint(*sorted(sys.modules))"],
         capture_output=True, text=True, timeout=120)

@@ -208,8 +208,19 @@ def _check_depth(root: Expr, into_values: bool = True) -> None:
 
 # binding powers of the infix operators, loosest first
 _POWER = {"<=": 1, "==": 1, "boxplus": 2, "oplus": 2, "+": 3, "-": 3, "*": 4}
-_COMPARABLE = {"<=": ("integer", "dimension type"),
-               "==": ("integer", "dimension type", "sigma-set")}
+# infix operators, '+' and '-' by the kind on their left: node op, the kinds
+# both operands may have, and the message for another ('{}' is the kind found)
+_INFIX = {
+    "<=": ("leq", ("integer", "dimension type"), "'<=' does not compare {} values"),
+    "==": ("eq", ("integer", "dimension type", "sigma-set"), "'==' does not compare {} values"),
+    "boxplus": ("boxplus", ("dimension type",),
+                "'boxplus' combines dimension types, not {} values"),
+    "oplus": ("oplus", ("dimension type",), "'oplus' combines dimension types, not {} values"),
+    ("+", "integer"): ("add", ("integer",), "cannot add {} and integer"),
+    ("-", "integer"): ("sub", ("integer",), "cannot subtract {} and integer"),
+    ("+", "group"): ("dsum", ("group",), "cannot form a direct sum of group and {}"),
+    "*": ("mul", ("integer",), "'*' multiplies integers, not {} values"),
+}
 # name(argument) primaries: node op and argument kind
 _CALLS = {
     "B": ("bn", "integer"), "C": ("const", "integer"),
@@ -284,50 +295,33 @@ class _Parser:
             if power == 3 and not _starts_term(self.tokens[self.pos + 1]):
                 return left  # a trailing sign is a decoration, not an operator
             self.advance()
-            at = (tok.line, tok.column)
-            if power == 4:
-                if _starts_term(self.tokens[self.pos]):
-                    rhs = self.primary()
-                    need = "'*' multiplies integers, not {} values"
-                    left = Expr("mul", (_need(left, "integer", need, tok),
-                                        _need(rhs, "integer", need, tok)), *at)
-                else:
-                    need = "postfix '*' mirrors dimension types, not {} values"
-                    left = Expr("star", (_need(left, "dimension type", need, tok),), *at)
-            elif power == 3:
-                kind = _KINDS[left.op]
-                if kind == "integer":
-                    verb = "add" if op == "+" else "subtract"
-                    rhs = _need(self.climb(self.primary(), 4), "integer",
-                                f"cannot {verb} {{}} and integer", tok)
-                    left = Expr("add" if op == "+" else "sub", (left, rhs), *at)
-                elif kind == "dimension type" and op == "+":
-                    left = Expr("shift", (left, self.integer()), *at)
-                elif kind == "group" and op == "+":
-                    rhs = _need(self.climb(self.primary(), 4), "group",
-                                "cannot form a direct sum of group and {}", tok)
-                    left = Expr("dsum", (left, rhs), *at)
-                else:
-                    raise TypeMismatchError(f"{op!r} is not defined on {kind} values", *at)
-            elif power == 2:
+            at, kind = (tok.line, tok.column), _KINDS[left.op]
+            if op == "*" and not _starts_term(self.tokens[self.pos]):
+                need = "postfix '*' mirrors dimension types, not {} values"
+                left = Expr("star", (_need(left, "dimension type", need, tok),), *at)
+                continue
+            if op == "+" and kind == "dimension type":
+                left = Expr("shift", (left, self.integer()), *at)
+                continue
+            if power == 2:
                 if mixing is None:
                     mixing = op
                 elif op != mixing:
                     raise ParseError(
                         "parentheses required when mixing 'boxplus' and 'oplus'", *at)
-                rhs = self.climb(self.primary(), 3)
-                need = f"{op!r} combines dimension types, not {{}} values"
-                left = Expr(op, (_need(left, "dimension type", need, tok),
-                                 _need(rhs, "dimension type", need, tok)), *at)
-            else:
-                # comparisons do not chain: the caller meets a second one
-                rhs = self.climb(self.primary(), 2)
-                lk, rk = _KINDS[left.op], _KINDS[rhs.op]
-                if lk != rk:
-                    raise TypeMismatchError(f"cannot compare {lk} with {rk}", *at)
-                if lk not in _COMPARABLE[op]:
-                    raise TypeMismatchError(f"{op!r} does not compare {lk} values", *at)
-                return Expr("leq" if op == "<=" else "eq", (left, rhs), *at)
+            row = _INFIX.get(op) or _INFIX.get((op, kind))
+            if row is None:
+                raise TypeMismatchError(f"{op!r} is not defined on {kind} values", *at)
+            node_op, kinds, message = row
+            rhs = self.climb(self.primary(), power + 1)
+            if power == 1 and kind != _KINDS[rhs.op]:
+                raise TypeMismatchError(f"cannot compare {kind} with {_KINDS[rhs.op]}", *at)
+            for operand in (left, rhs):
+                if _KINDS[operand.op] not in kinds:
+                    raise TypeMismatchError(message.format(_KINDS[operand.op]), *at)
+            left = Expr(node_op, (left, rhs), *at)
+            if power == 1:
+                return left  # comparisons do not chain: the caller meets a second one
 
     def primary(self) -> Expr:
         tok = self.advance()
@@ -459,9 +453,11 @@ def parse(text: str, start_line: int = 1) -> Expr:
 
 
 _COMPARE = {"leq": operator.le, "eq": operator.eq}
-# group constructors by node op; classes, so a traced __init__ is still reached
-_GROUPS = {"rationals": Rationals, "free": Free, "cyclic": Cyclic,
-           "circle": PadicCircle, "localized": LocalizedIntegers}
+# value constructors by node op: classes, so a traced __init__ is still reached,
+# and two functions no span traces
+_CONSTRUCTORS = {"rationals": Rationals, "free": Free, "cyclic": Cyclic,
+                 "circle": PadicCircle, "localized": LocalizedIntegers,
+                 "bn": boltyanskii_type, "const": constant}
 
 
 def apply_comparison(op: str, lhs, rhs) -> bool:
@@ -527,29 +523,22 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, int] | None = None):
                 return DimensionType(
                     ev(q, bindings), decorated_number(ev(base, bindings), mark),
                     {p: decorated_number(ev(b, bindings), m) for p, (b, m) in entries})
-            case "bn":
-                return boltyanskii_type(ev(args[0], bindings))
-            case "const":
-                return constant(ev(args[0], bindings))
-            case "boxplus":
-                return ev(args[0], bindings).boxplus(ev(args[1], bindings))
-            case "oplus":
-                return ev(args[0], bindings).oplus(ev(args[1], bindings))
-            case "star":
-                return ev(args[0], bindings).star()
+            # DimensionType methods, read off the class so a method patched there is called
+            case "boxplus" | "oplus":
+                return getattr(DimensionType, op)(ev(args[0], bindings), ev(args[1], bindings))
+            case "star" | "dim":
+                return getattr(DimensionType, op)(ev(args[0], bindings))
             case "shift":
                 amount = ev(args[1], bindings)
                 if amount is INF:
                     raise EvaluationError("shift amount must be a finite integer")
                 return ev(args[0], bindings) + amount
-            case "dim":
-                return ev(args[0], bindings).dim()
             case "sigma":
                 return bockstein_basis(ev(args[0], bindings))
             case "rationals" | "free" | "cyclic":
-                return _GROUPS[op](*args)
-            case "circle" | "localized":
-                return _GROUPS[op](ev(args[0], bindings))
+                return _CONSTRUCTORS[op](*args)
+            case "circle" | "localized" | "bn" | "const":
+                return _CONSTRUCTORS[op](ev(args[0], bindings))
             case "pres":
                 rows, generators = args
                 return Presented(generators, tuple(

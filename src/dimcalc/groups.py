@@ -180,6 +180,8 @@ class Presented(GroupExpr):
 
     def __post_init__(self):
         require_int(self.generators, 0, "generator count must be >= 0")
+        # any rows, lists too, are kept as tuples: equal groups compare equal
+        object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
         for row in self.relations:
             if len(row) != self.generators:
                 raise ValidityError(
@@ -198,6 +200,7 @@ class DirectSum(GroupExpr):
     parts: tuple[GroupExpr, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
         if len(self.parts) < 2:
             raise ValidityError("a direct sum needs at least two summands")
         for part in self.parts:

@@ -13,6 +13,7 @@ Three services on top of the core calculus:
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,10 @@ def decomposition_bound_holds(
 
 # -- scenarios -----------------------------------------------------------
 
+# the line breaks an editor shows; str.splitlines also breaks at \x0b, \x0c,
+# \x1c-\x1e, \x85, \u2028 and \u2029, which the tokenizer reads as whitespace
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -98,7 +103,7 @@ class Scenario:
     @classmethod
     def from_text(cls, name: str, text: str) -> "Scenario":
         claims: list[Claim] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(_LINE_BREAK.split(text), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -120,7 +125,7 @@ class Scenario:
             text = data.decode("utf-8")
         except UnicodeDecodeError as err:
             # place the first bad byte; "." closes the last line's column
-            before = (data[: err.start].decode("utf-8") + ".").splitlines()
+            before = _LINE_BREAK.split(data[: err.start].decode("utf-8") + ".")
             raise ParseError(f"scenario file is not UTF-8: {err.reason}",
                              len(before), len(before[-1])) from None
         return cls.from_text(path.stem, text)

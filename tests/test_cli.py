@@ -105,6 +105,13 @@ class TestVerify:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert f"{name[:40]!r}..." in proc.stderr and len(proc.stderr.encode()) < 150
 
+    def test_directory_scenario_exits_two(self, tmp_path):
+        path = tmp_path / ("d" * 50)
+        path.mkdir()
+        proc = run_cli("verify", "--scenario", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: [Errno 21] Is a directory: {str(path)[:40]!r}...\n"
+
     def test_file_scenario_pass(self, tmp_path):
         path = tmp_path / "shift.claims"
         path.write_text("# shifting commutes with the sum\n"

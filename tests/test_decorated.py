@@ -56,6 +56,12 @@ class TestExtNat:
     def test_not_equal_to_any_integer(self):
         assert INF != 0 and INF != 10**9
 
+    def test_no_arithmetic_with_other_values(self):
+        with pytest.raises(TypeError):
+            INF + "x"
+        with pytest.raises(TypeError):
+            INF - "x"
+
     @pytest.mark.parametrize("other", [0, -1, True, 10**100, INF], ids=repr)
     @pytest.mark.parametrize("op", COMPARISONS, ids=lambda op: op.__name__)
     def test_order_exhaustive(self, op, other):
@@ -376,6 +382,10 @@ class TestEvaluate:
         assert d(BocksteinGroup.circle(2)) is INF
         assert d(BocksteinGroup.localized(2)) is INF
 
+    def test_rejects_a_value_that_is_not_a_basis_group(self):
+        with pytest.raises(TypeError, match=r"^expected a BocksteinGroup, got 2$"):
+            constant(1)(2)
+
 
 class TestOrder:
     def test_examples(self):
@@ -410,6 +420,9 @@ class TestOrder:
                 compare(D1, 3)
             with pytest.raises(TypeError):
                 compare(3, D1)
+
+    def test_not_equal_to_an_integer(self):
+        assert (constant(1) == 1) is False
 
     @given(dimension_types(), dimension_types())
     def test_antisymmetry(self, d1, d2):
@@ -448,6 +461,10 @@ class TestBoxplus:
     def test_identity(self):
         assert D1.boxplus(constant(0)) == D1
         assert constant(0).boxplus(D1) == D1
+
+    def test_rejects_an_operand_that_is_not_a_type(self):
+        with pytest.raises(TypeError, match=r"^expected a DimensionType, got 1$"):
+            constant(1).boxplus(1)
 
     def test_mixed_signs(self):
         d2 = DimensionType(2, DecoratedNumber(1, PLUS))

@@ -41,7 +41,7 @@ from dimcalc import (
     render,
 )
 from dimcalc.cli import main
-from dimcalc.exprs import _tokenize, walk
+from dimcalc.exprs import Expr, _tokenize, to_json, walk
 from support import dimension_types, tokens_by_hand
 
 MINUS, PLUS = Decoration.MINUS, Decoration.PLUS
@@ -613,6 +613,10 @@ class TestKinds:
         expr = parse("dim(DT{q=a; *=(b-1)+} boxplus B(c)) == d")
         assert free_parameters(expr) == {"a", "b", "c", "d"}
 
+    def test_unknown_node_is_not_evaluated(self):
+        with pytest.raises(ValueError, match=r"^unknown node 'nosuch'$"):
+            evaluate_expr(Expr("nosuch"))
+
 
 class TestRender:
     def test_pretty_golden(self):
@@ -655,6 +659,10 @@ class TestRender:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render(constant(1), "yaml")
+
+    def test_unknown_value(self):
+        with pytest.raises(ValueError, match=r"^cannot render <object object at 0x[0-9a-f]+>$"):
+            to_json(object())
 
 
 class TestRoundTrip:

@@ -145,6 +145,19 @@ class TestGroupExpressions:
         assert isinstance(total, DirectSum)
         assert total.parts == (Cyclic(2), Cyclic(3), Free(1))
 
+    def test_sum_with_a_value_that_is_not_a_group(self):
+        with pytest.raises(TypeError):
+            Rationals() + 1
+
+    def test_equal_groups_from_any_container_compare_equal(self):
+        # the parser builds tuples; a caller may pass lists
+        q, z = Rationals(), Free(1)
+        for listed, parsed in ((Presented(2, [[2, 4], [0, 6]]), Presented(2, ((2, 4), (0, 6)))),
+                               (DirectSum([q, z]), DirectSum((q, z)))):
+            assert listed == parsed and hash(listed) == hash(parsed)
+            assert str(listed) == str(parsed)
+        assert DirectSum([q, z]) + Cyclic(2) == DirectSum((q, z, Cyclic(2)))
+
     def test_str(self):
         assert str(Free(1)) == "Z"
         assert str(Free(3)) == "Z^3"
@@ -320,6 +333,10 @@ class TestBocksteinBasis:
     def test_mixed_sum(self):
         sigma = bockstein_basis(PadicCircle(2) + Free(1))
         assert str(sigma) == "{Z_2^inf; Z_(p): all p}"
+
+    def test_membership_needs_a_basis_group(self):
+        with pytest.raises(TypeError, match=r"^expected a BocksteinGroup, got 2$"):
+            2 in bockstein_basis(Free(1))
 
     def test_localized_renders_finite_list(self):
         assert str(bockstein_basis(LocalizedIntegers(2))) == "{Z_(2)}"

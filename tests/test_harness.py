@@ -121,6 +121,31 @@ dim((DT{q=2; *=3-} + 1) boxplus DT{q=n-4; *=(n-5)+}) == n - 1
         assert scenario.name == "pair"
         assert run_scenario(scenario, {"n": 6}).passed
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"], ids=ascii)
+    def test_only_cr_and_lf_break_lines(self, brk, tmp_path):
+        # str.splitlines also breaks at these; the tokenizer reads them as whitespace
+        scenario = Scenario.from_text("ws", f"C(1) <={brk} C(2)\n")
+        assert [c.text for c in scenario.claims] == [f"C(1) <={brk} C(2)"]
+        assert run_scenario(scenario).passed
+        path = tmp_path / "ws.claims"
+        path.write_text(f"# {brk}\n5 == 5{brk}\n\nB( == 3\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"\(line 4, column 4\)$"):
+            Scenario.from_path(path)
+        path.write_bytes(f"5 == 5{brk}\n".encode() + b"caf\xe9")
+        with pytest.raises(ParseError, match=r"not UTF-8.*\(line 2, column 4\)$"):
+            Scenario.from_path(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_files_keep_their_line_numbers(self, newline, tmp_path):
+        path = tmp_path / "eol.claims"
+        path.write_bytes(newline.join(["# one", "5 == 5", "", "B( == 3", ""]).encode())
+        with pytest.raises(ParseError, match=r"\(line 4, column 4\)$"):
+            Scenario.from_path(path)
+        path.write_bytes(newline.join(["5 == 5", "caf\u00e9"]).encode("latin-1"))
+        with pytest.raises(ParseError, match=r"not UTF-8.*\(line 2, column 4\)$"):
+            Scenario.from_path(path)
+
     def test_empty_scenario_passes(self):
         report = run_scenario(Scenario.from_text("empty", "# only comments\n"))
         assert report.passed
@@ -479,6 +504,26 @@ class TestRandomGenerators:
         rng = random.Random("canonical-audit")
         for _ in range(500):
             assert _audit_canonical(random_dimension_type(rng))
+
+    def test_audit_rejects_types_built_past_the_constructor(self):
+        from dimcalc.harness import _audit_canonical
+
+        def built(rational, default, exceptions=()):
+            d = object.__new__(DimensionType)
+            d.rational, d.default, d.exceptions = rational, default, exceptions
+            return d
+
+        minus, plus = Decoration.MINUS, Decoration.PLUS
+        zero_minus = object.__new__(DecoratedNumber)
+        object.__setattr__(zero_minus, "base", 0)
+        object.__setattr__(zero_minus, "decoration", minus)
+        default = DecoratedNumber(3, minus)
+        assert _audit_canonical(built(2, default, ((3, DecoratedNumber(1, plus)),)))
+        for d in (built(2, DecoratedNumber(3)),  # undecorated, but not the value at Q
+                  built(2, default, ((3, zero_minus),)),
+                  built(2, default, ((5, DecoratedNumber(1, plus)), (3, DecoratedNumber(1, plus)))),
+                  built(2, default, ((5, default),))):  # an exception equal to the default
+            assert not _audit_canonical(d)
 
     def test_star_safe_types_mirror(self):
         from dimcalc.harness import random_dimension_type

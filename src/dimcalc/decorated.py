@@ -262,6 +262,8 @@ class BocksteinGroup:
     prime: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, BasisKind):
+            raise ValidityError(f"kind must be a BasisKind, got {self.kind!r}")
         if self.kind is BasisKind.RATIONALS:
             if self.prime is not None:
                 raise ValidityError("Q carries no prime")

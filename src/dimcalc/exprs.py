@@ -66,6 +66,7 @@ from .groups import (
     Presented,
     Rationals,
     SigmaSet,
+    StructuralProfile,
     bockstein_basis,
 )
 
@@ -123,11 +124,14 @@ _TOKEN = re.compile(rf"([{_DIGIT}]+)|([A-Za-z_][{_WORD}]*)|(==|<=|[{_OPS}])")
 _TOKEN_KINDS = (None, "num", "name", "op")
 _REJECT = re.compile(rf"([^\s{_WORD}{_OPS}])|(?<![{_WORD}])[{_DIGIT}]{{{MAX_DIGITS + 1}}}")
 _new = tuple.__new__  # what Token() calls, without its Python frame
+# the line breaks an editor shows; str.splitlines also breaks at \x0b, \x0c,
+# \x1c-\x1e, \x85, \u2028 and \u2029, which _REJECT reads as whitespace
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 def _tokenize(text: str, start_line: int = 1) -> list[Token]:
     tokens: list[Token] = []
-    for line, row in enumerate(text.split("\n"), start_line):
+    for line, row in enumerate(_LINE_BREAK.split(text), start_line):
         if trouble := _REJECT.search(row):
             message = (f"unexpected character {trouble[1]!r}" if trouble[1]
                        else f"number longer than {MAX_DIGITS} digits")
@@ -216,8 +220,8 @@ _INFIX = {
     "boxplus": ("boxplus", ("dimension type",),
                 "'boxplus' combines dimension types, not {} values"),
     "oplus": ("oplus", ("dimension type",), "'oplus' combines dimension types, not {} values"),
-    ("+", "integer"): ("add", ("integer",), "cannot add {} and integer"),
-    ("-", "integer"): ("sub", ("integer",), "cannot subtract {} and integer"),
+    ("+", "integer"): ("add", ("integer",), "cannot add integer and {}"),
+    ("-", "integer"): ("sub", ("integer",), "cannot subtract {} from integer"),
     ("+", "group"): ("dsum", ("group",), "cannot form a direct sum of group and {}"),
     "*": ("mul", ("integer",), "'*' multiplies integers, not {} values"),
 }
@@ -605,6 +609,8 @@ def to_json(value):
         }
     if isinstance(value, SigmaSet):
         return {"kind": "sigma-set", **fields_tree(value)}
+    if isinstance(value, StructuralProfile):
+        return {"kind": "structural-profile", **fields_tree(value)}
     if isinstance(value, GroupExpr):
         return {"kind": "group", "text": str(value)}
     if isinstance(value, BocksteinGroup):

@@ -13,7 +13,6 @@ Three services on top of the core calculus:
 from __future__ import annotations
 
 import random
-import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from .decorated import (
     require_int,
 )
 from .exprs import (
+    _LINE_BREAK,
     EvaluationError,
     Expr,
     ParseError,
@@ -80,11 +80,6 @@ def decomposition_bound_holds(
 
 
 # -- scenarios -----------------------------------------------------------
-
-# the line breaks an editor shows; str.splitlines also breaks at \x0b, \x0c,
-# \x1c-\x1e, \x85, \u2028 and \u2029, which the tokenizer reads as whitespace
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -249,18 +244,17 @@ def builtin_scenario(name: str) -> Scenario:
 # -- exhaustive sweep ----------------------------------------------------
 
 
-def uniform_types(max_rational: int, max_base: int) -> Iterator[DimensionType]:
-    """All valid exception-free types with bounded value at Q and bounded
-    prime base."""
-    return _uniform_types(0, max_rational, max_base)
+def uniform_types(bound: int) -> Iterator[DimensionType]:
+    """All valid exception-free types with value at Q and every base at most bound."""
+    return _uniform_types(0, bound)
 
 
-def _uniform_types(low: int, max_rational: int, max_base: int) -> Iterator[DimensionType]:
-    # the value at Q and every base in low .. the bounds, with a minus mark
-    # only above low: the uniform types >= constant(low) within the bounds
-    for q in range(low, max_rational + 1):
+def _uniform_types(low: int, bound: int) -> Iterator[DimensionType]:
+    # the value at Q and every base in low .. bound, with a minus mark only
+    # above low: the uniform types >= constant(low) within the bound
+    for q in range(low, bound + 1):
         yield DimensionType(q, decorated_number(q, _NONE))
-        for base in range(low, max_base + 1):
+        for base in range(low, bound + 1):
             yield DimensionType(q, decorated_number(base, _PLUS))
             if base > low:
                 yield DimensionType(q, decorated_number(base, _MINUS))
@@ -318,8 +312,8 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
 
     # dimension 2 forces every base and the value at Q under 2, so the
     # d_Y grid does not depend on base_bound
-    dim2 = [d for d in uniform_types(2, 2) if d.dim() == 2]
-    fibers = list(_uniform_types(n - 2, base_bound, base_bound))
+    dim2 = [d for d in uniform_types(2) if d.dim() == 2]
+    fibers = list(_uniform_types(n - 2, base_bound))
     ceiling = constant(n - 1)
     counterexamples = [
         f"shift bound: constant({n - 1}) <= {d_y} + {n - 3}"
@@ -335,30 +329,25 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
 # -- seeded random law suites ---------------------------------------------
 
 
-def _random_entry(
-    rng: random.Random, q: int, max_base: int, star_safe: bool
-) -> DecoratedNumber:
+_MAX_BASE = 12  # the largest base of a random type; random_type_above adds one
+
+
+def _random_entry(rng: random.Random, q: int, star_safe: bool) -> DecoratedNumber:
     roll = rng.randrange(3)
     if roll == 0:
         return decorated_number(q, _NONE)
     if roll == 1:
         low = 1 if star_safe else 0
-        return decorated_number(rng.randint(low, max_base), _PLUS)
-    return decorated_number(rng.randint(1, max_base), _MINUS)
+        return decorated_number(rng.randint(low, _MAX_BASE), _PLUS)
+    return decorated_number(rng.randint(1, _MAX_BASE), _MINUS)
 
 
-_MAX_BASE_RULE = "random generation needs an integer max_base >= 1"
-
-
-def random_dimension_type(
-    rng: random.Random, max_base: int = 12, star_safe: bool = False
-) -> DimensionType:
+def random_dimension_type(rng: random.Random, *, star_safe: bool = False) -> DimensionType:
     """One uniformly scattered valid type with exceptions on 2, 3, 5 and 7."""
-    require_int(max_base, 1, _MAX_BASE_RULE)
-    q = rng.randint(0, max_base)
-    default = _random_entry(rng, q, max_base, star_safe)
+    q = rng.randint(0, _MAX_BASE)
+    default = _random_entry(rng, q, star_safe)
     exceptions = {
-        p: _random_entry(rng, q, max_base, star_safe)
+        p: _random_entry(rng, q, star_safe)
         for p in (2, 3, 5, 7)
         if rng.random() < 0.5
     }
@@ -366,20 +355,19 @@ def random_dimension_type(
 
 
 def random_type_above(
-    rng: random.Random, d: DimensionType, max_base: int = 12, star_safe: bool = False
+    rng: random.Random, d: DimensionType, *, star_safe: bool = False
 ) -> DimensionType:
     """A random valid type dominating d, for monotonicity checks.
 
-    The value at Q is drawn uniformly from d's value up to max_base + 1.
+    The value at Q is drawn uniformly from d's value up to _MAX_BASE + 1.
     Each entry e of d is then replaced by a draw that is uniform over the
-    valid entries >= e with base at most max_base + 1, where the bare
+    valid entries >= e with base at most _MAX_BASE + 1, where the bare
     base appears only at the new value at Q (and 0+ not at all when
     star_safe).  Each draw is the one ``rng.choice`` would make from the
     sorted list of those entries, and it leaves the generator in the same
     state, but only the drawn entry is built.
     """
-    require_int(max_base, 1, _MAX_BASE_RULE)
-    top = max_base + 1
+    top = _MAX_BASE + 1
     for value in (d.rational, d.default.base, *(e.base for _, e in d.exceptions)):
         if value is INF or value > top:
             raise ValidityError(

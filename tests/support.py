@@ -225,11 +225,13 @@ def dominating_pairs(draw, max_base=12, star_safe=False):
 
 def tokens_by_hand(text: str, start_line: int = 1):
     """The (kind, text, line, column) of each token of ``text`` and of its end,
-    read one character at a time, or the message of the first error.  Digits
-    and names are ASCII, and a number has at most 1000 digits."""
+    read one character at a time, or the message of the first error.  Rows
+    break at CRLF, CR and LF.  Digits and names are ASCII, and a number has
+    at most 1000 digits."""
     word = string.ascii_letters + string.digits + "_"
     tokens = []
-    for line, row in enumerate(text.split("\n"), start_line):
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line, row in enumerate(rows, start_line):
         i = 0
         while i < len(row):
             c, j = row[i], i + 1

@@ -266,6 +266,13 @@ def test_basis_group_of_q_carries_no_prime():
         BocksteinGroup(BasisKind.RATIONALS, 2)
 
 
+@pytest.mark.parametrize("kind", ["Z_{p}", "Q", 1, None])
+def test_basis_group_kind_must_be_a_basis_kind(kind):
+    with pytest.raises(ValidityError) as caught:
+        BocksteinGroup(kind, 2)
+    assert str(caught.value) == f"kind must be a BasisKind, got {kind!r}"
+
+
 class _Int(int):
     """An int subclass other than bool."""
 

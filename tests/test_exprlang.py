@@ -38,6 +38,7 @@ from dimcalc import (
     free_parameters,
     kind_of,
     parse,
+    profile,
     render,
 )
 from dimcalc.cli import main
@@ -227,6 +228,15 @@ class TestDiagnostics:
             parse(text)
         assert "(line " in str(info.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 + C(1)", "cannot add integer and dimension type (line 1, column 3)"),
+        ("1 - Q", "cannot subtract group from integer (line 1, column 3)"),
+    ])
+    def test_sum_and_difference_mismatches_name_the_operands_in_order(self, text, message):
+        with pytest.raises(TypeMismatchError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_multiline_positions(self):
         with pytest.raises(ParseError) as info:
             parse("C(1) boxplus\nC(2) oplus C(3)", start_line=1)
@@ -274,7 +284,7 @@ class TestDiagnostics:
                 count += 1
         assert count == 37 + 37**2 + 37**3
         assert digest.hexdigest() == (
-            "c0bc0cef372b9a2f003fd662794748604da78ff867bd747185319713a42d06a1")
+            "4c6a6a3b1d539e7afe59c3c26c1d0e1cde69443d5b7bb9df63584c8609d1b676")
 
 
 class TestTokens:
@@ -327,10 +337,17 @@ class TestTokens:
         assert self.error("(1\n+2\n", start_line=5) == (
             "expected ')', found end of input (line 7, column 1)")
 
+    @pytest.mark.parametrize("brk", ["\r", "\n", "\r\n"], ids=ascii)
+    def test_cr_lf_and_crlf_each_break_a_row(self, brk):
+        # the same line breaks as a scenario file
+        assert self.error(f"C(1) <={brk}C(2) @") == "unexpected character '@' (line 2, column 6)"
+        assert self.error(f"(1{brk}+2{brk}") == (
+            "expected ')', found end of input (line 3, column 1)")
+
     # the language benchmark's mutation alphabet, with the characters and
     # digit runs that decide between a token and an error
     PIECES = st.one_of(
-        st.sampled_from("0123456789+-*/(){}[];=<>,^ abdeilmnopqsuxzBCDQTZ_\n\t¹٣²é@"),
+        st.sampled_from("0123456789+-*/(){}[];=<>,^ abdeilmnopqsuxzBCDQTZ_\n\r\t¹٣²é@"),
         st.integers(999, 1002).map(lambda n: "7" * n))
 
     @given(st.lists(PIECES, max_size=40).map("".join), st.integers(1, 3))
@@ -650,6 +667,17 @@ class TestRender:
             "circle": {"default": False, "exceptions": []},
             "localized": {"default": False, "exceptions": []},
         }
+
+    def test_structured_profile(self):
+        pr = profile(Cyclic(6))
+        assert json.loads(render(pr, "structured")) == {
+            "kind": "structural-profile",
+            "free_quotient_nonzero": False,
+            "free_quotient_divisible": {"default": True, "exceptions": []},
+            "torsion_nonzero": {"default": False, "exceptions": [2, 3]},
+            "torsion_divisible": {"default": True, "exceptions": [2, 3]},
+        }
+        assert render(pr) == repr(pr)  # the pretty form stays the repr
 
     def test_structured_key_order_stable(self):
         d = constant(INF)

@@ -298,11 +298,11 @@ def test_golden_outputs(capsys):
 class TestUniformTypes:
     def test_counts(self):
         # per q in 0..2: one regular, plus bases, minus bases
-        assert len(list(uniform_types(2, 2))) == 18
-        assert len(list(uniform_types(0, 0))) == 2
+        assert len(list(uniform_types(2))) == 18
+        assert len(list(uniform_types(0))) == 2
 
     def test_dim2_grid(self):
-        grid = [d for d in uniform_types(2, 2) if d.dim() == 2]
+        grid = [d for d in uniform_types(2) if d.dim() == 2]
         assert len(grid) == 9
         texts = {str(d) for d in grid}
         assert "{q=2; *=2}" in texts
@@ -310,7 +310,7 @@ class TestUniformTypes:
         assert "{q=1; *=1+}" in texts
 
     def test_all_uniform(self):
-        for d in uniform_types(3, 3):
+        for d in uniform_types(3):
             assert d.exceptions == ()
 
 
@@ -349,9 +349,9 @@ class TestCubeSweep:
         floor = constant(n - 2)
         for bound in range(19):
             report = cube_theorem_sweep(n, bound)
-            fibers = [d for d in uniform_types(bound, bound) if floor <= d]
+            fibers = [d for d in uniform_types(bound) if floor <= d]
             assert report.fiber_count == len(fibers) == 2 * max(0, bound - n + 3) ** 2
-            assert list(_uniform_types(n - 2, bound, bound)) == fibers
+            assert list(_uniform_types(n - 2, bound)) == fibers
             assert report.pairs_checked == 9 * report.fiber_count
             assert report.passed
 
@@ -550,9 +550,10 @@ class TestRandomGenerators:
 
     @pytest.mark.parametrize("max_base", [1, 2, 3, 4])
     @pytest.mark.parametrize("star_safe", [False, True])
-    def test_type_above_matches_enumeration_exhaustively(self, max_base, star_safe):
+    def test_type_above_matches_enumeration_exhaustively(self, max_base, star_safe, monkeypatch):
         # every finite valid entry at every value q at Q; the seeds cover
         # every admissible new value at Q, which is drawn first
+        monkeypatch.setattr("dimcalc.harness._MAX_BASE", max_base)
         top = max_base + 1
         seeds = range(40)
         for q in range(top + 1):
@@ -566,7 +567,7 @@ class TestRandomGenerators:
                 low = DimensionType(q, entry)
                 for seed in seeds:
                     rng, ref = random.Random(seed), random.Random(seed)
-                    got = random_type_above(rng, low, max_base, star_safe)
+                    got = random_type_above(rng, low, star_safe=star_safe)
                     assert got == type_above_by_enumeration(ref, low, max_base, star_safe)
                     assert rng.getstate() == ref.getstate()
 
@@ -574,10 +575,10 @@ class TestRandomGenerators:
     def test_type_above_matches_enumeration_seeded(self, star_safe):
         rng = random.Random(f"above-enumeration:{star_safe}")
         for _ in range(500):
-            low = random_dimension_type(rng, 12, star_safe=star_safe)
+            low = random_dimension_type(rng, star_safe=star_safe)
             ref = random.Random()
             ref.setstate(rng.getstate())
-            got = random_type_above(rng, low, 12, star_safe)
+            got = random_type_above(rng, low, star_safe=star_safe)
             assert got == type_above_by_enumeration(ref, low, 12, star_safe)
             assert rng.getstate() == ref.getstate()
 
@@ -595,18 +596,11 @@ class TestRandomGenerators:
     def test_type_above_rejects_a_base_beyond_max_base(self):
         rng = random.Random(0)
         state = rng.getstate()
-        with pytest.raises(ValidityError, match="at most 6"):
-            random_type_above(rng, constant(9), max_base=5)
+        with pytest.raises(ValidityError, match="at most 13"):
+            random_type_above(rng, constant(14))
         assert rng.getstate() == state
         # the largest admissible value still works
-        assert random_type_above(rng, constant(6), max_base=5).rational == 6
-
-    def test_generators_reject_max_base_below_one(self):
-        for max_base in (0, -1, True):
-            with pytest.raises(ValidityError, match="max_base >= 1"):
-                random_dimension_type(random.Random(0), max_base=max_base)
-            with pytest.raises(ValidityError, match="max_base >= 1"):
-                random_type_above(random.Random(0), constant(0), max_base=max_base)
+        assert random_type_above(rng, constant(13)).rational == 13
 
 
 def json_ready(tree):

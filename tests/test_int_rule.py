@@ -9,8 +9,6 @@ bound, and checks that the bound itself is accepted.  That no other code
 restates the rule is a row of ``tests/test_source_rules.py``.
 """
 
-import random
-
 import pytest
 
 from dimcalc import (
@@ -20,10 +18,7 @@ from dimcalc import (
     ValidityError,
     boltyanskii_type,
     check_algebra_laws,
-    constant,
     cube_theorem_sweep,
-    random_dimension_type,
-    random_type_above,
 )
 
 
@@ -35,14 +30,9 @@ from dimcalc import (
     (boltyanskii_type, "the ceiling type needs an integer n >= 1", 1),
     (lambda v: cube_theorem_sweep(v, 8), "the sweep needs an integer n >= 4", 4),
     (lambda v: cube_theorem_sweep(6, v), "base bound must be a non-negative integer", 0),
-    (lambda v: random_dimension_type(random.Random(0), max_base=v),
-     "random generation needs an integer max_base >= 1", 1),
-    (lambda v: random_type_above(random.Random(0), constant(0), max_base=v),
-     "random generation needs an integer max_base >= 1", 1),
     (lambda v: check_algebra_laws(samples=v), "the law suite needs an integer samples >= 1", 1),
 ], ids=["Free rank", "Cyclic modulus", "Presented generators", "Presented coefficient",
-        "boltyanskii_type", "sweep n", "sweep base bound", "random_dimension_type max_base",
-        "random_type_above max_base", "law samples"])
+        "boltyanskii_type", "sweep n", "sweep base bound", "law samples"])
 def test_each_integer_argument_rejects_a_bool_a_float_and_a_value_below_its_bound(
         build, what, least):
     # 7.0 is at or above every bound, so only the type test rejects it

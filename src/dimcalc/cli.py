@@ -176,7 +176,7 @@ def _cmd_sweep(args) -> tuple[str, bool]:
 
 def _cmd_sigma(args) -> tuple[str, None]:
     expr = parse(args.group)
-    _need(expr, "group", "sigma needs a group expression, found {}", expr)
+    _need(expr, "group", "sigma needs a group expression, found {}", expr.line, expr.column)
     return render(bockstein_basis(evaluate_expr(expr)), args.format), None
 
 

@@ -42,7 +42,6 @@ import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import NamedTuple
 
 from .decorated import (
     _NONE,
@@ -108,14 +107,8 @@ def placed(err: ValidityError | EvaluationError, line: int, column: int):
     return out
 
 
-class Token(NamedTuple):
-    kind: str  # num | name | op | end
-    text: str
-    line: int
-    column: int
-
-
-# Token character classes, written once.  _REJECT finds a row's first character
+# Tokens are (kind, text, line, column) tuples, kind num, name, op or end,
+# from character classes written once.  _REJECT finds a row's first character
 # no token holds, or first number (from a digit no word character precedes)
 # over MAX_DIGITS; _TOKEN cuts a row without either, one alternative per kind.
 # Two end tokens close the list, as the parser looks one token past the first.
@@ -123,22 +116,21 @@ _DIGIT, _WORD, _OPS = "0-9", "A-Za-z0-9_", r"{}()\[\];,=+\-*/^<>"
 _TOKEN = re.compile(rf"([{_DIGIT}]+)|([A-Za-z_][{_WORD}]*)|(==|<=|[{_OPS}])")
 _TOKEN_KINDS = (None, "num", "name", "op")
 _REJECT = re.compile(rf"([^\s{_WORD}{_OPS}])|(?<![{_WORD}])[{_DIGIT}]{{{MAX_DIGITS + 1}}}")
-_new = tuple.__new__  # what Token() calls, without its Python frame
 # the line breaks an editor shows; str.splitlines also breaks at \x0b, \x0c,
 # \x1c-\x1e, \x85, \u2028 and \u2029, which _REJECT reads as whitespace
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
-def _tokenize(text: str, start_line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
+def _tokenize(text: str, start_line: int = 1) -> list[tuple]:
+    tokens: list[tuple] = []
     for line, row in enumerate(_LINE_BREAK.split(text), start_line):
         if trouble := _REJECT.search(row):
             message = (f"unexpected character {trouble[1]!r}" if trouble[1]
                        else f"number longer than {MAX_DIGITS} digits")
             raise ParseError(message, line, trouble.start() + 1)
-        tokens += [_new(Token, (_TOKEN_KINDS[m.lastindex], m.group(), line, m.start() + 1))
+        tokens += [(_TOKEN_KINDS[m.lastindex], m.group(), line, m.start() + 1)
                    for m in _TOKEN.finditer(row)]
-    return tokens + [Token("end", "", line, len(row) + 1)] * 2
+    return tokens + [("end", "", line, len(row) + 1)] * 2
 
 
 @dataclass(frozen=True)
@@ -151,6 +143,13 @@ class Expr:
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
     value: object = field(default=None, compare=False, repr=False)
+
+
+def _node(op: str, args: tuple, line: int, column: int, value=None) -> Expr:
+    """``Expr(op, args, line, column, value)``, its __dict__ written once."""
+    node = object.__new__(Expr)
+    node.__dict__.update(op=op, args=args, line=line, column=column, value=value)
+    return node
 
 
 _KINDS = {
@@ -172,12 +171,12 @@ def kind_of(expr: Expr) -> str:
     return _KINDS[expr.op]
 
 
-def _need(node: Expr, kind: str, message: str, at) -> Expr:
+def _need(node: Expr, kind: str, message: str, line: int, column: int) -> Expr:
     """``node`` if it has ``kind``; otherwise a TypeMismatchError placed at
-    ``at`` (a token or a node), with the kind found filled in for '{}'."""
+    (line, column), with the kind found filled in for '{}'."""
     found = _KINDS[node.op]
     if found != kind:
-        raise TypeMismatchError(message.format(found), at.line, at.column)
+        raise TypeMismatchError(message.format(found), line, column)
     return node
 
 
@@ -236,54 +235,56 @@ _RESERVED = {"DT", "Q", "Z", "pres", "inf", "boxplus", "oplus", *_CALLS}
 _SIGNS = {text: mark for mark, text in _SYMBOLS.items()}
 
 
-def _found(tok: Token) -> str:
-    return "end of input" if tok.kind == "end" else repr(tok.text)
+def _found(tok: tuple) -> str:
+    return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
-def _starts_term(tok: Token) -> bool:
-    if tok.kind == "num":
+def _starts_term(tok: tuple) -> bool:
+    kind, text = tok[0], tok[1]
+    if kind == "num":
         return True
-    if tok.kind == "name":
-        return tok.text not in ("boxplus", "oplus")
-    return tok.text in ("(", "-", "{")
+    if kind == "name":
+        return text not in ("boxplus", "oplus")
+    return text in ("(", "-", "{")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
         self.params = 0  # parameter names read so far
         self.depth = 0  # primaries open now: brackets, unary minus, literals
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def accept(self, text: str) -> bool:
-        if self.tokens[self.pos].text != text:
+        if self.tokens[self.pos][1] != text:
             return False
         self.pos += 1
         return True
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {_found(tok)}", tok.line, tok.column)
-        return self.advance()
+        if tok[1] != text:
+            raise ParseError(f"expected {text!r}, found {_found(tok)}", tok[2], tok[3])
+        self.pos += 1
 
     def number(self, what: str) -> int:
         tok = self.advance()
-        if tok.kind != "num":
+        if tok[0] != "num":
             raise ParseError(f"expected a number for the {what}, found {_found(tok)}",
-                             tok.line, tok.column)
-        return int(tok.text)
+                             tok[2], tok[3])
+        return int(tok[1])
 
     def integer(self) -> Expr:
         """An integer expression read greedily: a shift amount, ``q``, an
         entry base or a relation entry."""
         term = self.climb(self.primary(), 4)
-        _need(term, "integer", "expected an integer expression, found {}", term)
+        _need(term, "integer", "expected an integer expression, found {}",
+              term.line, term.column)
         return self.climb(term, 3)
 
     def climb(self, left: Expr, min_power: int) -> Expr:
@@ -292,20 +293,20 @@ class _Parser:
         mixing = None  # the first of 'boxplus' and 'oplus' in this chain
         while True:
             tok = self.tokens[self.pos]
-            op = tok.text
+            op = tok[1]
             power = _POWER.get(op, 0)
             if power < min_power:
                 return left
             if power == 3 and not _starts_term(self.tokens[self.pos + 1]):
                 return left  # a trailing sign is a decoration, not an operator
-            self.advance()
-            at, kind = (tok.line, tok.column), _KINDS[left.op]
+            self.pos += 1
+            at, kind = tok[2:], _KINDS[left.op]
             if op == "*" and not _starts_term(self.tokens[self.pos]):
                 need = "postfix '*' mirrors dimension types, not {} values"
-                left = Expr("star", (_need(left, "dimension type", need, tok),), *at)
+                left = _node("star", (_need(left, "dimension type", need, *at),), *at)
                 continue
             if op == "+" and kind == "dimension type":
-                left = Expr("shift", (left, self.integer()), *at)
+                left = _node("shift", (left, self.integer()), *at)
                 continue
             if power == 2:
                 if mixing is None:
@@ -323,73 +324,72 @@ class _Parser:
             for operand in (left, rhs):
                 if _KINDS[operand.op] not in kinds:
                     raise TypeMismatchError(message.format(_KINDS[operand.op]), *at)
-            left = Expr(node_op, (left, rhs), *at)
+            left = _node(node_op, (left, rhs), *at)
             if power == 1:
                 return left  # comparisons do not chain: the caller meets a second one
 
     def primary(self) -> Expr:
-        tok = self.advance()
-        text = tok.text
-        if tok.kind == "num":
-            return Expr("int", (int(text),), tok.line, tok.column)
+        kind, text, line, column = tok = self.advance()
+        if kind == "num":
+            return _node("int", (int(text),), line, column)
         if self.depth == MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
-                             tok.line, tok.column)
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", line, column)
         params, start = self.params, self.pos
         self.depth += 1
         try:
             if text == "-":
                 operand = _need(self.primary(), "integer",
-                                "unary '-' negates integers, not {} values", tok)
-                return Expr("neg", (operand,), tok.line, tok.column)
+                                "unary '-' negates integers, not {} values", line, column)
+                return _node("neg", (operand,), line, column)
             if text == "(":
                 node = self.climb(self.primary(), 1)
                 self.expect(")")
                 return node
             if text == "inf":
-                return Expr("int", (INF,), tok.line, tok.column)
+                return _node("int", (INF,), line, column)
             if text in ("{", "DT"):
-                node = self.type_literal(tok)
+                node = self.type_literal(text, line, column)
             elif text in _CALLS:
-                op, kind = _CALLS[text]
+                op, need = _CALLS[text]
                 self.expect("(")
                 arg = self.climb(self.primary(), 1)
-                _need(arg, kind, f"expected a {kind} argument, found {{}}", arg)
+                _need(arg, need, f"expected a {need} argument, found {{}}", arg.line, arg.column)
                 self.expect(")")
-                node = Expr(op, (arg,), tok.line, tok.column)
+                node = _node(op, (arg,), line, column)
                 if op in ("dim", "sigma"):
                     return node
             elif text == "Q":
-                node = Expr("rationals", (), tok.line, tok.column)
+                node = _node("rationals", (), line, column)
             elif text == "Z":
                 if self.accept("^"):
-                    node = Expr("free", (self.number("free rank"),), tok.line, tok.column)
+                    node = _node("free", (self.number("free rank"),), line, column)
                 elif self.accept("/"):
-                    node = Expr("cyclic", (self.number("modulus"),), tok.line, tok.column)
+                    node = _node("cyclic", (self.number("modulus"),), line, column)
                 else:
-                    node = Expr("free", (1,), tok.line, tok.column)
+                    node = _node("free", (1,), line, column)
             elif text == "pres":
                 rows = self.bracketed(lambda: self.bracketed(self.integer))
-                node = Expr("pres", (rows, len(rows[0]) if rows else 0), tok.line, tok.column)
-            elif tok.kind == "name" and text not in _RESERVED:
+                node = _node("pres", (rows, len(rows[0]) if rows else 0), line, column)
+            elif kind == "name" and text not in _RESERVED:
                 self.params += 1
-                return Expr("param", (text,), tok.line, tok.column)
+                return _node("param", (text,), line, column)
             else:
-                raise ParseError(f"expected a value, found {_found(tok)}", tok.line, tok.column)
+                raise ParseError(f"expected a value, found {_found(tok)}", line, column)
         finally:
             self.depth -= 1
         # a literal: if no parameter was read in it, validated now and kept
-        # with its value
+        # with its value, set before the node leaves the parser
         if self.params != params:
             return node
         if self.pos - start > MAX_DEPTH:
             # a long literal may be too deep to evaluate; nodes that keep
             # a value are not evaluated again, so each node is walked once
             _check_depth(node, into_values=False)
-        return Expr(node.op, node.args, node.line, node.column, evaluate_expr(node))
+        node.__dict__["value"] = evaluate_expr(node)
+        return node
 
-    def type_literal(self, tok: Token) -> Expr:
-        if tok.text == "DT":
+    def type_literal(self, text: str, line: int, column: int) -> Expr:
+        if text == "DT":
             self.expect("{")
         self.expect("q")
         self.expect("=")
@@ -400,32 +400,32 @@ class _Parser:
         default = self.decorated()
         entries: dict[int, tuple] = {}
         while self.accept(";"):
-            key = self.tokens[self.pos]
+            at = self.tokens[self.pos][2:]  # the key's line and column
             prime = self.number("prime key")
             try:
                 require_prime(prime, "exception key")
             except ValidityError as err:
-                raise placed(err, key.line, key.column) from None
+                raise placed(err, *at) from None
             if prime in entries:
-                raise ParseError(f"duplicate entry for prime {prime}", key.line, key.column)
+                raise ParseError(f"duplicate entry for prime {prime}", *at)
             self.expect("=")
             entries[prime] = self.decorated()
         self.expect("}")
-        return Expr("type", (q, default, tuple(entries.items())), tok.line, tok.column)
+        return _node("type", (q, default, tuple(entries.items())), line, column)
 
     def decorated(self) -> tuple:
         """An entry as a (base, mark) pair."""
         base = self.integer()
-        decoration = _SIGNS.get(self.tokens[self.pos].text, _NONE)
+        decoration = _SIGNS.get(self.tokens[self.pos][1], _NONE)
         if decoration is not _NONE:
-            self.advance()
+            self.pos += 1
         return base, decoration
 
     def bracketed(self, item) -> tuple:
         """'[' ( item (',' item)* )? ']' as a tuple of items."""
         self.expect("[")
         items = []
-        if self.tokens[self.pos].text != "]":
+        if self.tokens[self.pos][1] != "]":
             items.append(item())
             while self.accept(","):
                 items.append(item())
@@ -448,9 +448,9 @@ def parse(text: str, start_line: int = 1) -> Expr:
     tokens = _tokenize(text, start_line)
     parser = _Parser(tokens)
     node = parser.climb(parser.primary(), 1)
-    tok = parser.tokens[parser.pos]
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    kind, rest, line, column = tokens[parser.pos]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {rest!r}", line, column)
     if len(tokens) - 2 > MAX_DEPTH:  # at most one node per token before the ends
         _check_depth(node)
     return node

@@ -6,6 +6,7 @@ import itertools
 import json
 import re
 import shlex
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -633,6 +634,62 @@ class TestKinds:
     def test_unknown_node_is_not_evaluated(self):
         with pytest.raises(ValueError, match=r"^unknown node 'nosuch'$"):
             evaluate_expr(Expr("nosuch"))
+
+
+# texts the parser accepts, of every kind: literals with a value, literals
+# with the parameter n, and every operator and call
+COUNTS = st.recursive(
+    st.one_of(st.integers(1, 20).map(str), st.just("n")),
+    lambda inner: st.tuples(inner, st.sampled_from("+*"), inner).map(" ".join), max_leaves=3)
+INTEGERS = st.one_of(COUNTS, COUNTS.map(lambda c: f"-({c}) - 1"))
+TYPE_TEXTS = st.recursive(
+    st.one_of(dimension_types(allow_inf=True).map(render), COUNTS.map(lambda c: f"B({c})"),
+              COUNTS.map(lambda c: f"C({c})"), st.just("DT{q=n; *=(n-1)+; 3=n}")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["boxplus", "oplus"]), inner)
+        .map(lambda t: "(%s %s %s)" % t),
+        st.tuples(inner, COUNTS).map(" + ".join), inner.map(lambda t: f"({t})*")),
+    max_leaves=4)
+GROUP_TEXTS = st.lists(st.sampled_from(["Q", "Z", "Z^2", "Z/12", "Zpinf(5)", "Zloc(7)",
+                                        "pres[[2,4],[0,3]]", "pres[]"]),
+                       min_size=1, max_size=3).map(" + ".join)
+TEXTS = st.one_of(
+    INTEGERS, TYPE_TEXTS, GROUP_TEXTS,
+    st.tuples(TYPE_TEXTS, st.sampled_from(["<=", "=="]), TYPE_TEXTS).map(" ".join),
+    st.tuples(TYPE_TEXTS, INTEGERS).map(lambda t: "dim(%s) <= %s" % t),
+    GROUP_TEXTS.map(lambda g: f"sigma({g}) == sigma(Z)"))
+
+
+class TestNodes:
+    """The parser builds its nodes without Expr's generated __init__; each
+    is still the Expr that __init__ builds from its fields."""
+
+    @staticmethod
+    def assert_built_as_by_init(tree):
+        for node, _ in walk(tree):
+            rebuilt = Expr(**{f.name: getattr(node, f.name) for f in fields(Expr)})
+            assert node == rebuilt
+            assert hash(node) == hash(rebuilt)
+            assert repr(node) == repr(rebuilt)
+            assert vars(node) == vars(rebuilt)
+            assert is_dataclass(node)
+            with pytest.raises(FrozenInstanceError):
+                node.op = "x"
+
+    def test_readme_evals_and_builtin_claims(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        evals = [shlex.split(argv)[-1]
+                 for argv in re.findall(r"^\$ dimcalc eval (.*)$", readme, re.MULTILINE)]
+        assert len(evals) == 3
+        for tree in [parse(text) for text in evals] + [
+                claim.expr for name in builtin_scenario_names()
+                for claim in builtin_scenario(name).claims]:
+            self.assert_built_as_by_init(tree)
+
+    @given(TEXTS)
+    def test_drawn_texts(self, text):
+        self.assert_built_as_by_init(parse(text))
+        assert all(type(tok) is tuple and len(tok) == 4 for tok in _tokenize(text))
 
 
 class TestRender:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from dataclasses import fields
 
 import pytest
@@ -448,6 +449,31 @@ class TestAlgebraLaws:
         assert [(law.name, law.checked, len(law.failures)) for law in report.laws[:3]] == [
             ("boxplus-commutes", 20, 5), ("boxplus-associates", 20, 5),
             ("boxplus-identity", 20, 5)]
+
+    def test_a_law_that_raises_fails_and_the_run_goes_on(self, monkeypatch, capsys):
+        # a broken sign table: two bare marks multiply to a minus, so a sum
+        # with a bare entry at base 0 would be 0-, which no entry can be
+        import dimcalc.decorated as decorated
+
+        monkeypatch.setitem(decorated._PRODUCT, (Decoration.NONE, Decoration.NONE),
+                            Decoration.MINUS)
+        assert main(["verify", "--scenario", "laws", "--seed", "1", "--samples", "200"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        tree = check_algebra_laws(seed=1, samples=200).tree()
+        assert [law["name"] for law in tree["laws"] if not law["passed"]] == [
+            "boxplus-associates", "boxplus-identity", "boxplus-closed", "shift-agreement"]
+        for law in tree["laws"]:
+            assert (f"  FAIL  {law['name']} " in out) is not law["passed"]
+        raised = "error: 0- is not a representable decorated number"
+        # boxplus-closed fails only by raising: each sample is its two operands and the message
+        closed = next(law for law in tree["laws"] if law["name"] == "boxplus-closed")
+        assert len(closed["failures"]) == 2
+        for failure in closed["failures"]:
+            assert re.fullmatch(r"\{[^{}]*\}, \{[^{}]*\}, " + re.escape(raised), failure)
+            assert f"        {failure}\n" in out
+        identity = next(law for law in tree["laws"] if law["name"] == "boxplus-identity")
+        assert any(failure.endswith(", " + raised) for failure in identity["failures"])
 
     def test_operand_stream_is_pinned(self, monkeypatch):
         # the report's hash covers names, counts and failures only, so

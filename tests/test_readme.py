@@ -2,7 +2,7 @@
 
 The Library block runs through doctest, and every ``$ dimcalc ...``
 example that lists its output runs through ``cli.main`` and must print
-exactly that output.
+exactly that output.  Each cap the README states is its constant's value.
 """
 
 import doctest
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from dimcalc import cli, decorated, exprs
 from dimcalc.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -48,3 +49,22 @@ def test_cli_example(argv, output, capsys):
 
 def test_examples_found():
     assert len(EXAMPLES) == 4
+
+
+# each cap as the README states it, read with its line breaks as spaces
+FLAT = " ".join(TEXT.split())
+CAPS = {
+    "MAX_BOUND": (cli, r"`sweep --bound` is at most (\d+)"),
+    "MAX_SAMPLES": (cli, r"--samples` at most (\d+)"),
+    "MAX_N_RUNS": (cli, r"range holds at most (\d+) values"),
+    "MAX_DIGITS": (exprs, r"(?:at most|longer than) (\d+) digits"),
+    "MAX_DEPTH": (exprs, r"nest at most (\d+) levels deep"),
+    "PRIME_BOUND": (decorated, r"Primes are decided exactly below (\d+)"),
+}
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_stated_caps_are_their_constants(name):
+    module, pattern = CAPS[name]
+    stated = {int(value) for value in re.findall(pattern, FLAT)}
+    assert stated == {getattr(module, name)}

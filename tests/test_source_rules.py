@@ -19,15 +19,16 @@ lets pass.  Docstrings are string constants, so none is looked at.
   and the language's parameter check) are other rules.
 - ``verdicts``: in ``cli``, only ``main`` writes stdout, and no ``_cmd_*``
   handler returns an exit code.
-- ``exact``: no floating point.  The one exemption is
-  ``random_dimension_type``'s coin flip, which feeds the pinned law-suite
-  stream.
+- ``exact``: no floating point, with no function exempt.
 - ``tables``: no function that ``bench/tracing.py`` traces is read into a
   display or comprehension that runs at import time: ``instrument``
   rebinds names, so a captured reference skips the span.  ``__init__``
   targets are left out, as a class in a table still reaches its traced
   ``__init__``.
 - ``stdlib``: every absolute import is of the standard library.
+- ``nodes``: the parser builds every node through ``exprs._node``, which
+  writes the instance's ``__dict__`` once; an ``Expr(...)`` call runs the
+  dataclass ``__init__``, which costs about twice as much.
 """
 
 import ast
@@ -99,6 +100,12 @@ def restated_int_rules(tree):
                         and ast.unparse(getattr(statement.exc, "func", statement.exc))
                         == "ValidityError" for statement in node.body)):
             yield node, "isinstance(..., bool) raising ValidityError"
+
+
+def expr_constructor_calls(tree):
+    for node in ast.walk(tree):
+        if called(node).rpartition(".")[2] == "Expr":
+            yield node, "Expr(...)"
 
 
 def gives_int(expr) -> bool:
@@ -213,12 +220,10 @@ def main(argv):
     return 0
 ''', ["line 2: print in _cmd_a", "line 3: exit code from _cmd_a",
       "line 6: exit code from _cmd_b", "line 8: print in _helper"]),
-    "exact": Rule(floating_point, MODULES, ("random_dimension_type",), '''_HALF = 1 / 2
+    "exact": Rule(floating_point, MODULES, (), '''_HALF = 1 / 2
 def f(rng, n):
     n /= 2
     return float(n) + 0.5, n // 2, rng.random(), rng.randint(0, 1), 1j
-def random_dimension_type(rng):
-    return rng.random() < 0.5
 ''', ["line 1: true division", "line 3: true division", "line 4: float literal 0.5",
       "line 4: float literal 1j", "line 4: float(...)", "line 4: rng.random(...)"]),
     "tables": Rule(traced_in_tables, MODULES, (), '''\
@@ -238,6 +243,12 @@ from numpy import array
 from . import decorated
 from .exprs import parse
 ''', ["line 2: import of sympy", "line 3: import of numpy"]),
+    "nodes": Rule(expr_constructor_calls, MODULES, (), '''def f(op, line, column):
+    """>>> Expr("int")"""
+    node = _node(op, (), line, column)
+    if isinstance(node, Expr) and GroupExpr(node):
+        return Expr(op, (node,)), exprs.Expr("int", (1,), line, column)
+''', ["line 5: Expr(...)", "line 5: Expr(...)"]),
 }
 
 

@@ -15,6 +15,7 @@ Everything here is immutable and safe to share.
 
 from __future__ import annotations
 
+from _collections import _tuplegetter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -183,14 +184,14 @@ _DUAL = {(a, b): a.flipped.combine(b.flipped).flipped for a in _MARKS for b in _
 _FLIP = {m: m.flipped for m in _MARKS}
 
 
-@dataclass(frozen=True, order=True)
-class DecoratedNumber:
+class DecoratedNumber(tuple):
     """A base value with a singularity mark: 3-, 3, 3+ or inf+.
 
-    The order is that of the fields (base, decoration), which interleaves
-    marks between bases: 3- < 3 < 3+ < 4- < ... < inf < inf+.  A minus
-    mark on base 0 or inf is rejected: 0- would stand for the value -1,
-    and inf- duplicates inf+.
+    A decorated number is the validated pair ``(base, decoration)``: it
+    equals, orders and hashes as that plain tuple does, and it iterates as
+    one, with length 2.  Tuple order interleaves marks between bases:
+    3- < 3 < 3+ < 4- < ... < inf < inf+.  A minus mark on base 0 or inf is
+    rejected: 0- would stand for the value -1, and inf- duplicates inf+.
 
     >>> DecoratedNumber(3, Decoration.MINUS) < DecoratedNumber(3, Decoration.PLUS)
     True
@@ -200,15 +201,32 @@ class DecoratedNumber:
     inf+
     """
 
-    base: ExtNat
-    decoration: Decoration = Decoration.NONE
+    __slots__ = ()
 
-    def __post_init__(self):
-        as_extnat(self.base, "base")
-        if not isinstance(self.decoration, Decoration):
-            raise ValidityError(f"decoration must be a Decoration, got {self.decoration!r}")
-        if self.decoration is _MINUS and (self.base == 0 or self.base is INF):
-            raise ValidityError(f"{self.base}- is not a representable decorated number")
+    # the fields as namedtuple reads them, each through one C descriptor
+    base = _tuplegetter(0, "The base value, in N u {inf}.")
+    decoration = _tuplegetter(1, "The singularity mark.")
+
+    # bound here, not only inherited, so that bench/tracing.py finds it in the
+    # class __dict__; CPython keeps tuple's C comparison in the slot
+    __lt__ = tuple.__lt__
+
+    def __new__(cls, base: ExtNat, decoration: Decoration = Decoration.NONE):
+        return tuple.__new__(cls, (base, decoration))
+
+    def __init__(self, base: ExtNat, decoration: Decoration = Decoration.NONE):
+        as_extnat(base, "base")
+        if not isinstance(decoration, Decoration):
+            raise ValidityError(f"decoration must be a Decoration, got {decoration!r}")
+        if decoration is _MINUS and (base == 0 or base is INF):
+            raise ValidityError(f"{base}- is not a representable decorated number")
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild from the two fields, not from one tuple
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"DecoratedNumber(base={self.base!r}, decoration={self.decoration!r})"
 
     def __str__(self) -> str:
         return f"{self.base}{_SYMBOLS[self.decoration]}"
@@ -437,11 +455,14 @@ class DimensionType:
 
     def _values_at(self, e: DecoratedNumber) -> tuple[ExtNat, ExtNat, ExtNat]:
         # The values encoded by one entry, one per prime kind in BasisKind order.
-        if e.decoration is _NONE:
-            return e.base, e.base, e.base
-        if e.decoration is _PLUS:
-            return e.base, e.base, max(self.rational, e.base + 1)
-        return e.base, e.base - 1, max(self.rational, e.base)
+        # Each field is read once: a local is cheaper than the tuple descriptor,
+        # and two reads cheaper than unpacking a tuple subclass.
+        base, mark = e.base, e.decoration
+        if mark is _NONE:
+            return base, base, base
+        if mark is _PLUS:
+            return base, base, max(self.rational, base + 1)
+        return base, base - 1, max(self.rational, base)
 
     def __call__(self, group: BocksteinGroup) -> ExtNat:
         """The value at one group of the Bockstein family."""

@@ -303,6 +303,8 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
     uniform types at least constant(n-2) within the bound, so nothing is
     filtered: the value at Q and every base run from n-2, with no (n-2)-
     entry.  An empty fiber grid (base bound below n-2) passes vacuously.
+    A pair whose product raises ValidityError is a counterexample that
+    names the pair and the message.
 
     >>> cube_theorem_sweep(6, 8).passed
     True
@@ -318,10 +320,14 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
     counterexamples = [
         f"shift bound: constant({n - 1}) <= {d_y} + {n - 3}"
         for d_y in dim2 if not d_y.is_full_valued() and ceiling <= d_y + (n - 3)
-    ] + [
-        f"product dimension: dim({d_y} boxplus {d_f}) < {n}"
-        for d_y in dim2 for d_f in fibers if d_y.boxplus(d_f).dim() < n
     ]
+    for d_y in dim2:
+        for d_f in fibers:
+            try:
+                if d_y.boxplus(d_f).dim() < n:
+                    counterexamples.append(f"product dimension: dim({d_y} boxplus {d_f}) < {n}")
+            except ValidityError as err:
+                counterexamples.append(f"product dimension: {d_y} boxplus {d_f}: error: {err}")
     return SweepReport(n, base_bound, len(dim2), len(fibers), len(dim2) * len(fibers),
                        tuple(counterexamples))
 
@@ -332,27 +338,39 @@ def cube_theorem_sweep(n: int, base_bound: int) -> SweepReport:
 _MAX_BASE = 12  # the largest base of a random type; random_type_above adds one
 
 
+def _below(rng: random.Random, n: int) -> int:
+    # rng.randrange(n) for n >= 1, as CPython's Random._randbelow_with_getrandbits
+    # draws it: the same value, and the generator left in the same state,
+    # without the frames of randint and randrange
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_entry(rng: random.Random, q: int, star_safe: bool) -> DecoratedNumber:
-    roll = rng.randrange(3)
+    roll = _below(rng, 3)
     if roll == 0:
         return decorated_number(q, _NONE)
     if roll == 1:
         low = 1 if star_safe else 0
-        return decorated_number(rng.randint(low, _MAX_BASE), _PLUS)
-    return decorated_number(rng.randint(1, _MAX_BASE), _MINUS)
+        return decorated_number(low + _below(rng, _MAX_BASE + 1 - low), _PLUS)
+    return decorated_number(1 + _below(rng, _MAX_BASE), _MINUS)
 
 
 def random_dimension_type(rng: random.Random, *, star_safe: bool = False) -> DimensionType:
     """One uniformly scattered valid type with exceptions on 2, 3, 5 and 7."""
-    q = rng.randint(0, _MAX_BASE)
+    q = _below(rng, _MAX_BASE + 1)
     default = _random_entry(rng, q, star_safe)
     # one coin per prime: is the first of two 32-bit words below 2**31?  That
-    # reads the stream as random() < 0.5 did, with no float
-    exceptions = {
-        p: _random_entry(rng, q, star_safe)
+    # reads the stream as random() < 0.5 did, with no float.  The pairs go
+    # in increasing prime order, as the constructor keeps them
+    exceptions = [
+        (p, _random_entry(rng, q, star_safe))
         for p in (2, 3, 5, 7)
         if not rng.getrandbits(64) & (1 << 31)
-    }
+    ]
     return DimensionType(q, default, exceptions)
 
 
@@ -374,7 +392,7 @@ def random_type_above(
         if value is INF or value > top:
             raise ValidityError(
                 f"random generation needs a finite type with values at most {top}, got {d}")
-    q2 = rng.randint(d.rational, top)
+    q2 = d.rational + _below(rng, top + 1 - d.rational)
 
     def entry_above(e: DecoratedNumber) -> DecoratedNumber:
         # in order: the marks at e.base from e's up, then at each higher
@@ -382,7 +400,7 @@ def random_type_above(
         first = [m for m in _MARKS if m >= e.decoration
                  and (m is not _NONE or e.base == q2)
                  and not (star_safe and m is _PLUS and e.base == 0)]
-        k = rng.randrange(len(first) + 2 * (top - e.base) + (e.base < q2))
+        k = _below(rng, len(first) + 2 * (top - e.base) + (e.base < q2))
         if k < len(first):
             return decorated_number(e.base, first[k])
         k -= len(first)
@@ -398,7 +416,7 @@ def random_type_above(
     return DimensionType(
         q2,
         entry_above(d.default),
-        {p: entry_above(e) for p, e in d.exceptions},
+        [(p, entry_above(e)) for p, e in d.exceptions],
     )
 
 
@@ -500,7 +518,7 @@ def check_algebra_laws(seed: int = 0, samples: int = 10000) -> LawReport:
          lambda a, b: _audit_canonical(a.boxplus(b))),
         ("oplus-closed", lambda r: draw(r, 2, star_safe=True),
          lambda a, b: _audit_canonical(a.oplus(b))),
-        ("shift-agreement", lambda r: [*draw(r, 1, star_safe=True), r.randint(0, 12)],
+        ("shift-agreement", lambda r: [*draw(r, 1, star_safe=True), _below(r, 13)],
          lambda a, k: a.boxplus(constant(k)) == a + k == a.oplus(constant(k))),
         ("boxplus-below-oplus", lambda r: draw(r, 2, star_safe=True),
          lambda a, b: _below_with_equal_bases(a.boxplus(b), a.oplus(b))),

@@ -1,6 +1,8 @@
 """Core arithmetic: decorated order, evaluation, operations, predicates."""
 
+import copy
 import operator
+import pickle
 import random
 import re
 
@@ -126,6 +128,31 @@ class TestDecoratedNumber:
         assert max(shuffled) == DecoratedNumber(INF, PLUS)
         assert max(d for d in shuffled if d.base is not INF) == DecoratedNumber(4, PLUS)
         assert min(shuffled) == DecoratedNumber(0)
+
+    def test_is_the_plain_pair(self):
+        # equal, ordered and hashed as the tuple (base, decoration)
+        for e in self.LADDER:
+            pair = (e.base, e.decoration)
+            assert tuple(e) == pair and len(e) == 2
+            assert e == pair and hash(e) == hash(pair)
+            assert all((e < f) == (pair < (f.base, f.decoration)) for f in self.LADDER)
+
+    def test_fields_are_read_only(self):
+        for e in self.LADDER:
+            for field in ("base", "decoration", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(e, field, 1)
+
+    @pytest.mark.parametrize("copied", [lambda v: pickle.loads(pickle.dumps(v)),
+                                        copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_copies_keep_the_value(self, copied):
+        d = DimensionType(2, DecoratedNumber(3, MINUS),
+                          {5: DecoratedNumber(1, PLUS), 7: DecoratedNumber(INF, PLUS)})
+        for value in [*self.LADDER, d]:
+            twin = copied(value)
+            assert type(twin) is type(value)
+            assert twin == value and repr(twin) == repr(value)
 
     def test_rejects_unrepresentable(self):
         with pytest.raises(ValidityError):

@@ -387,6 +387,29 @@ class TestCubeSweep:
             "  counterexamples: 1\n    shift bound: constant(3) <= {q=2; *=2} + 1\n"
             "result: FAIL\n", "")
 
+    def test_a_product_that_raises_is_a_counterexample(self, monkeypatch, capsys):
+        # a broken sign table: two minus marks multiply to a bare mark, so a
+        # product of two minus entries is invalid unless its bases sum to q
+        import dimcalc.decorated as decorated
+
+        minus = Decoration.MINUS
+        monkeypatch.setitem(decorated._PRODUCT, (minus, minus), Decoration.NONE)
+        assert main(["sweep", "--cube", "--n", "4", "--bound", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        dim2 = [d for d in uniform_types(2) if d.dim() == 2]
+        fibers = [d for d in uniform_types(3) if constant(2) <= d]
+        raised = [
+            f"product dimension: {y} boxplus {f}: error: default entry "
+            f"{y.default.base + f.default.base} is undecorated but differs from "
+            f"the value {y.rational + f.rational} at Q"
+            for y in dim2 for f in fibers
+            if y.default.decoration is f.default.decoration is minus
+            and y.default.base + f.default.base != y.rational + f.rational]
+        assert len(raised) == 6
+        assert cube_theorem_sweep(4, 3).counterexamples == tuple(raised)
+        assert out.endswith("".join(f"    {c}\n" for c in raised) + "result: FAIL\n")
+
     def test_failure_rendering(self):
         report = SweepReport(6, 8, 9, 50, 450, ("product dimension: dim(x) < 6",))
         assert not report.passed
@@ -525,6 +548,14 @@ class TestAlgebraLaws:
 
 
 class TestRandomGenerators:
+    def test_below_draws_as_randrange(self):
+        from dimcalc.harness import _below
+        for seed in range(6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for n in range(1, 71):
+                assert _below(rng, n) == ref.randrange(n)
+                assert rng.getrandbits(32) == ref.getrandbits(32)
+
     def test_random_types_are_canonical(self):
         from dimcalc.harness import _audit_canonical, random_dimension_type
         rng = random.Random("canonical-audit")
@@ -540,9 +571,7 @@ class TestRandomGenerators:
             return d
 
         minus, plus = Decoration.MINUS, Decoration.PLUS
-        zero_minus = object.__new__(DecoratedNumber)
-        object.__setattr__(zero_minus, "base", 0)
-        object.__setattr__(zero_minus, "decoration", minus)
+        zero_minus = tuple.__new__(DecoratedNumber, (0, minus))
         default = DecoratedNumber(3, minus)
         assert _audit_canonical(built(2, default, ((3, DecoratedNumber(1, plus)),)))
         for d in (built(2, DecoratedNumber(3)),  # undecorated, but not the value at Q

@@ -20,6 +20,11 @@ lets pass.  Docstrings are string constants, so none is looked at.
 - ``verdicts``: in ``cli``, only ``main`` writes stdout, and no ``_cmd_*``
   handler returns an exit code.
 - ``exact``: no floating point, with no function exempt.
+- ``draws``: every random draw reads the generator's ``getrandbits``,
+  directly or through ``harness._below``; a ``randint``, ``randrange``,
+  ``choice``, ``sample`` or ``shuffle`` call runs the library's frames
+  above that loop: ``randint(1, 12)`` took about 300 ns, the loop alone
+  about 100 ns (Python 3.11).
 - ``tables``: no function that ``bench/tracing.py`` traces is read into a
   display or comprehension that runs at import time: ``instrument``
   rebinds names, so a captured reference skips the span.  ``__init__``
@@ -139,6 +144,16 @@ def floating_point(tree):
             yield node, f"{called(node)}(...)"
 
 
+DRAWS = {"randint", "randrange", "choice", "sample", "shuffle"}
+
+
+def library_draws(tree):
+    for node in ast.walk(tree):
+        _, dot, method = called(node).rpartition(".")
+        if dot and method in DRAWS:
+            yield node, f"{called(node)}(...)"
+
+
 TRACED = {path.rpartition(".")[2] for _, path, *_ in load_bench("tracing").SPANS} - {"__init__"}
 TABLES = (ast.Dict, ast.List, ast.Tuple, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 
@@ -226,6 +241,15 @@ def f(rng, n):
     return float(n) + 0.5, n // 2, rng.random(), rng.randint(0, 1), 1j
 ''', ["line 1: true division", "line 3: true division", "line 4: float literal 0.5",
       "line 4: float literal 1j", "line 4: float(...)", "line 4: rng.random(...)"]),
+    "draws": Rule(library_draws, MODULES, (), '''def f(rng, items):
+    """>>> rng.randint(0, 1)"""
+    k = _below(rng, 3) + rng.getrandbits(8)
+    random.shuffle(items)
+    return rng.randint(0, k), rng.randrange(k), rng.choice(items), choice(items)
+def g(rng, items):
+    return random.Random(1).sample(items, 2), rng.randbytes(2), rng.random()
+''', ["line 4: random.shuffle(...)", "line 5: rng.choice(...)", "line 5: rng.randint(...)",
+      "line 5: rng.randrange(...)", "line 7: random.Random(1).sample(...)"]),
     "tables": Rule(traced_in_tables, MODULES, (), '''\
 _T = {"parse": parse, "kinds": (DimensionType, Decoration.PLUS)}
 OPS = [DimensionType.boxplus, lambda a, b: a.oplus(b)]

@@ -416,22 +416,16 @@ def bockstein_basis(group: GroupExpr) -> SigmaSet:
                     _predicate(False, torsion - rough), _predicate(False, free_rough))
 
 
-def _generic_prime(marked: tuple[int, ...]) -> int:
-    p = 2
-    while p in marked or not is_prime(p):
-        p += 1
-    return p
-
-
 def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     """Largest value of a dimension type over the basis of a group.
 
     The supremum over sigma(G) only needs the finitely many primes marked
-    in either the type or the basis, plus one generic prime standing for
-    all the rest, where the type reads its default.  Each prime's entry is
+    in either the type or the basis.  Every other prime reads the type's
+    default and each predicate's default, so one slot keyed ``None``, which
+    no exception set holds, stands for them all.  Each slot's entry is
     read once: its three values pair with ``sigma._by_kind()`` in order.
     Membership reads each predicate's fields without ``__call__``'s
-    check, as every prime here is validated already.
+    check, which the ``None`` slot would fail.
 
     >>> dim_with_coefficients(DimensionType(2, DecoratedNumber(3, Decoration.MINUS)), Free(1))
     3
@@ -440,9 +434,10 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
         raise TypeError(f"expected a DimensionType, got {d!r}")
     sigma = bockstein_basis(group)
     values: list[ExtNat] = [d.rational] if sigma.rationals else []
-    marked = tuple(sorted({*d.exception_primes(), *sigma.exception_primes()}))
+    entries = dict(d.exceptions)
     by_kind = sigma._by_kind()
-    for p, e in [(p, d.entry(p)) for p in marked] + [(_generic_prime(marked), d.default)]:
+    for p in {None, *entries, *sigma.exception_primes()}:
+        e = entries.get(p, d.default)
         values += [value for (_, pred), value in zip(by_kind, d._values_at(e))
                    if pred.default != (p in pred.exceptions)]
     return max(values, default=0)

@@ -518,7 +518,7 @@ def check_algebra_laws(seed: int = 0, samples: int = 10000) -> LawReport:
          lambda a, b: _audit_canonical(a.boxplus(b))),
         ("oplus-closed", lambda r: draw(r, 2, star_safe=True),
          lambda a, b: _audit_canonical(a.oplus(b))),
-        ("shift-agreement", lambda r: [*draw(r, 1, star_safe=True), _below(r, 13)],
+        ("shift-agreement", lambda r: [*draw(r, 1, star_safe=True), _below(r, _MAX_BASE + 1)],
          lambda a, k: a.boxplus(constant(k)) == a + k == a.oplus(constant(k))),
         ("boxplus-below-oplus", lambda r: draw(r, 2, star_safe=True),
          lambda a, b: _below_with_equal_bases(a.boxplus(b), a.oplus(b))),

@@ -77,10 +77,11 @@ CEILINGS = {
     "language": {"exprs.parse": 10, "exprs.evaluate": 134, "decorated.construct": 35,
                  "decorated.is_prime": 5, "groups.predicate": 1, "decorated.decnum": 12},
     # the dim_with_coefficients example alone makes 2 predicates and reads
-    # each of its 3 marked primes once, building no BocksteinGroup
+    # its marked entries from one dict, with no entry() scan, no prime test
+    # and no BocksteinGroup
     "groups": {"exprs.parse": 0, "exprs.evaluate": 0, "decorated.construct": 1,
-               "decorated.is_prime": 24, "groups.predicate": 5, "decorated.decnum": 2,
-               "decorated.entry": 3, "decorated.basis_group": 0, "decorated.value_at": 0},
+               "decorated.is_prime": 18, "groups.predicate": 5, "decorated.decnum": 2,
+               "decorated.entry": 0, "decorated.basis_group": 0, "decorated.value_at": 0},
 }
 
 

@@ -118,3 +118,5 @@ def test_le_and_eq(mine, theirs, data):
     assert (a <= b) == value_by_value(x, y, operator.le)
     assert (b <= a) == value_by_value(y, x, operator.le)
     assert (a == b) == value_by_value(x, y, operator.eq)
+    assert list(a._paired(b)) == [(p, a.entry(p), b.entry(p)) for p in
+                                  sorted({*a.exception_primes(), *b.exception_primes()})]

@@ -133,7 +133,7 @@ def _tokenize(text: str, start_line: int = 1) -> list[tuple]:
     return tokens + [("end", "", line, len(row) + 1)] * 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Expr:
     """A parsed node; args nest Expr, tuples and plain atoms.  ``value``
     is the value of a literal without parameters, built by the parser."""
@@ -144,12 +144,10 @@ class Expr:
     column: int = field(default=0, compare=False)
     value: object = field(default=None, compare=False, repr=False)
 
-
-def _node(op: str, args: tuple, line: int, column: int, value=None) -> Expr:
-    """``Expr(op, args, line, column, value)``, its __dict__ written once."""
-    node = object.__new__(Expr)
-    node.__dict__.update(op=op, args=args, line=line, column=column, value=value)
-    return node
+    def __init__(self, op: str, args: tuple = (), line: int = 0, column: int = 0, value=None):
+        # the generated frozen __init__ sets each field through object.__setattr__ at twice the cost
+        d = self.__dict__
+        d["op"], d["args"], d["line"], d["column"], d["value"] = op, args, line, column, value
 
 
 _KINDS = {
@@ -303,10 +301,10 @@ class _Parser:
             at, kind = tok[2:], _KINDS[left.op]
             if op == "*" and not _starts_term(self.tokens[self.pos]):
                 need = "postfix '*' mirrors dimension types, not {} values"
-                left = _node("star", (_need(left, "dimension type", need, *at),), *at)
+                left = Expr("star", (_need(left, "dimension type", need, *at),), *at)
                 continue
             if op == "+" and kind == "dimension type":
-                left = _node("shift", (left, self.integer()), *at)
+                left = Expr("shift", (left, self.integer()), *at)
                 continue
             if power == 2:
                 if mixing is None:
@@ -324,14 +322,14 @@ class _Parser:
             for operand in (left, rhs):
                 if _KINDS[operand.op] not in kinds:
                     raise TypeMismatchError(message.format(_KINDS[operand.op]), *at)
-            left = _node(node_op, (left, rhs), *at)
+            left = Expr(node_op, (left, rhs), *at)
             if power == 1:
                 return left  # comparisons do not chain: the caller meets a second one
 
     def primary(self) -> Expr:
         kind, text, line, column = tok = self.advance()
         if kind == "num":
-            return _node("int", (int(text),), line, column)
+            return Expr("int", (int(text),), line, column)
         if self.depth == MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", line, column)
         params, start = self.params, self.pos
@@ -340,13 +338,13 @@ class _Parser:
             if text == "-":
                 operand = _need(self.primary(), "integer",
                                 "unary '-' negates integers, not {} values", line, column)
-                return _node("neg", (operand,), line, column)
+                return Expr("neg", (operand,), line, column)
             if text == "(":
                 node = self.climb(self.primary(), 1)
                 self.expect(")")
                 return node
             if text == "inf":
-                return _node("int", (INF,), line, column)
+                return Expr("int", (INF,), line, column)
             if text in ("{", "DT"):
                 node = self.type_literal(text, line, column)
             elif text in _CALLS:
@@ -355,24 +353,24 @@ class _Parser:
                 arg = self.climb(self.primary(), 1)
                 _need(arg, need, f"expected a {need} argument, found {{}}", arg.line, arg.column)
                 self.expect(")")
-                node = _node(op, (arg,), line, column)
+                node = Expr(op, (arg,), line, column)
                 if op in ("dim", "sigma"):
                     return node
             elif text == "Q":
-                node = _node("rationals", (), line, column)
+                node = Expr("rationals", (), line, column)
             elif text == "Z":
                 if self.accept("^"):
-                    node = _node("free", (self.number("free rank"),), line, column)
+                    node = Expr("free", (self.number("free rank"),), line, column)
                 elif self.accept("/"):
-                    node = _node("cyclic", (self.number("modulus"),), line, column)
+                    node = Expr("cyclic", (self.number("modulus"),), line, column)
                 else:
-                    node = _node("free", (1,), line, column)
+                    node = Expr("free", (1,), line, column)
             elif text == "pres":
                 rows = self.bracketed(lambda: self.bracketed(self.integer))
-                node = _node("pres", (rows, len(rows[0]) if rows else 0), line, column)
+                node = Expr("pres", (rows, len(rows[0]) if rows else 0), line, column)
             elif kind == "name" and text not in _RESERVED:
                 self.params += 1
-                return _node("param", (text,), line, column)
+                return Expr("param", (text,), line, column)
             else:
                 raise ParseError(f"expected a value, found {_found(tok)}", line, column)
         finally:
@@ -411,7 +409,7 @@ class _Parser:
             self.expect("=")
             entries[prime] = self.decorated()
         self.expect("}")
-        return _node("type", (q, default, tuple(entries.items())), line, column)
+        return Expr("type", (q, default, tuple(entries.items())), line, column)
 
     def decorated(self) -> tuple:
         """An entry as a (base, mark) pair."""

@@ -49,8 +49,16 @@ class PrimePredicate:
     exceptions: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for p in self.exceptions:
+        primes = self.exceptions
+        unfrozen = type(primes) is not frozenset
+        if unfrozen:
+            primes = tuple(primes)  # a generator is read once, in the order given
+        for p in primes:
             require_prime(p, "exception")
+        if unfrozen:
+            # kept as a frozenset whatever iterable built it: equal predicates
+            # compare, hash and combine alike
+            object.__setattr__(self, "exceptions", frozenset(primes))
 
     def __repr__(self) -> str:
         # the dataclass format with the primes sorted: equal predicates print

@@ -1,12 +1,15 @@
 """Parsing, evaluation, kinds, diagnostics, and rendering."""
 
+import copy
 import enum
 import hashlib
+import inspect
 import itertools
 import json
+import pickle
 import re
 import shlex
-from dataclasses import FrozenInstanceError, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -661,8 +664,28 @@ TEXTS = st.one_of(
 
 
 class TestNodes:
-    """The parser builds its nodes without Expr's generated __init__; each
-    is still the Expr that __init__ builds from its fields."""
+    """Expr's hand-written __init__ is its one builder, the parser's too;
+    each node is still the frozen dataclass that its fields describe."""
+
+    def test_one_builder(self):
+        assert Expr.__dataclass_params__.init is False
+        assert "__init__" in vars(Expr)
+
+    def test_signature_lists_the_fields(self):
+        parameters = list(inspect.signature(Expr).parameters.values())
+        assert [p.name for p in parameters] == [f.name for f in fields(Expr)]
+        assert [p.default for p in parameters] == [
+            inspect.Parameter.empty if f.default is MISSING else f.default for f in fields(Expr)]
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda node: Expr(**vars(node)), replace, copy.copy, copy.deepcopy,
+        lambda node: pickle.loads(pickle.dumps(node)),
+    ], ids=["keywords", "replace", "copy", "deepcopy", "pickle"])
+    def test_rebuilt_and_copied_nodes_are_equal(self, rebuild):
+        for node, _ in walk(parse("(DT{q=2; *=3-} oplus C(n)) + 1 <= B(4)")):
+            rebuilt = rebuild(node)
+            assert rebuilt == node
+            assert vars(rebuilt) == vars(node)
 
     @staticmethod
     def assert_built_as_by_init(tree):

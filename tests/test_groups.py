@@ -98,6 +98,22 @@ class TestPrimePredicate:
             PrimePredicate(False, frozenset({4}))
         with pytest.raises(ValidityError):
             PrimePredicate(True)(1)
+        # checked in the order given, before a set is built: [2] is unhashable
+        with pytest.raises(ValidityError, match="'a'"):
+            PrimePredicate(False, ["a", [2]])
+
+    @pytest.mark.parametrize("primes", [
+        lambda: [2, 3], lambda: {3, 2}, lambda: (2, 3, 2), lambda: (p for p in (3, 2)),
+    ], ids=["list", "set", "tuple", "generator"])
+    def test_any_iterable_of_exceptions_is_kept_as_a_frozenset(self, primes):
+        frozen = PrimePredicate(False, frozenset({2, 3}))
+        other = PrimePredicate(True, frozenset({3, 5}))
+        built = PrimePredicate(False, primes())
+        assert type(built.exceptions) is frozenset
+        assert built == frozen and hash(built) == hash(frozen)
+        assert repr(built) == repr(frozen)
+        assert (built & other, built | other, ~built) == (
+            frozen & other, frozen | other, ~frozen)
 
     def test_equal_predicates_print_alike(self):
         # a frozenset iterates in the order it was built: 3 and 11 share a hash slot

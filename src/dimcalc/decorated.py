@@ -137,6 +137,24 @@ def require_prime(p: object, what: str = "prime") -> int:
     return p  # type: ignore[return-value]
 
 
+def _prime_factors(n: int) -> frozenset[int]:
+    # trial division that stops once the cofactor is prime; at or above
+    # PRIME_BOUND is_prime cannot tell, so division goes on there
+    out: set[int] = set()
+    f = 2
+    done = n < PRIME_BOUND and is_prime(n)
+    while not done and f * f <= n:
+        if n % f == 0:
+            out.add(f)
+            while n % f == 0:
+                n //= f
+            done = n < PRIME_BOUND and is_prime(n)
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.add(n)
+    return frozenset(out)
+
+
 def require_int(value: object, least: int | None, what: str) -> None:
     """Raise ``ValidityError("{what}, got {value!r}")`` unless ``value`` is
     an ``int``, not a ``bool``, and at least ``least`` (no bound when

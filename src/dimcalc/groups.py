@@ -25,10 +25,9 @@ from .decorated import (
     DecoratedNumber,
     Decoration,
     DimensionType,
-    PRIME_BOUND,
     ExtNat,
     ValidityError,
-    is_prime,
+    _prime_factors,
     require_int,
     require_prime,
 )
@@ -234,11 +233,15 @@ def smith_normal_form(
     >>> smith_normal_form([[6, 4], [4, 6]], 2)
     (0, [2, 10])
     """
+    require_int(generators, 0, "generator count must be >= 0")
     m = [list(row) for row in relations if row]
     rows, cols = len(m), generators
     for row in m:
         if len(row) != cols:
             raise ValidityError(f"relation rows must have {cols} entries")
+        for c in row:
+            if type(c) is not int:
+                require_int(c, None, "relation coefficient must be an integer")
 
     diag: list[int] = []
     top = 0
@@ -289,24 +292,6 @@ def smith_normal_form(
     return rank, [d for d in diag if d != 1]
 
 
-def _prime_factors(n: int) -> set[int]:
-    # trial division that stops once the cofactor is prime; at or above
-    # PRIME_BOUND is_prime cannot tell, so division goes on there
-    out: set[int] = set()
-    f = 2
-    done = n < PRIME_BOUND and is_prime(n)
-    while not done and f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            while n % f == 0:
-                n //= f
-            done = n < PRIME_BOUND and is_prime(n)
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 @dataclass(frozen=True)
 class StructuralProfile:
     """The four per-prime facts that determine a Bockstein basis.
@@ -337,7 +322,7 @@ def _profile(group: GroupExpr) -> tuple:
         case Free(rank=r):
             return r > 0, _EVERY_PRIME if r else _NO_PRIMES, _NO_PRIMES, _NO_PRIMES
         case Cyclic(modulus=m):
-            torsion = frozenset(_prime_factors(m))
+            torsion = _prime_factors(m)
             return False, _NO_PRIMES, torsion, torsion
         case PadicCircle(prime=p):
             return False, _NO_PRIMES, frozenset({p}), _NO_PRIMES
@@ -346,7 +331,7 @@ def _profile(group: GroupExpr) -> tuple:
         case Presented(generators=g, relations=rel):
             rank, factors = smith_normal_form(rel, g)
             # every invariant factor divides the last one
-            torsion = frozenset(_prime_factors(factors[-1]) if factors else ())
+            torsion = _prime_factors(factors[-1]) if factors else _NO_PRIMES
             return rank > 0, _EVERY_PRIME if rank else _NO_PRIMES, torsion, torsion
         case _:
             raise TypeError(f"not a coefficient group: {group!r}")

@@ -19,6 +19,7 @@ from dimcalc import (
     boltyanskii_type,
     check_algebra_laws,
     cube_theorem_sweep,
+    smith_normal_form,
 )
 
 
@@ -27,12 +28,15 @@ from dimcalc import (
     (Cyclic, "modulus must be an integer >= 2", 2),
     (lambda v: Presented(v, ()), "generator count must be >= 0", 0),
     (lambda v: Presented(1, ((v,),)), "relation coefficient must be an integer", None),
+    (lambda v: smith_normal_form((), v), "generator count must be >= 0", 0),
+    (lambda v: smith_normal_form(((v,),), 1), "relation coefficient must be an integer", None),
     (boltyanskii_type, "the ceiling type needs an integer n >= 1", 1),
     (lambda v: cube_theorem_sweep(v, 8), "the sweep needs an integer n >= 4", 4),
     (lambda v: cube_theorem_sweep(6, v), "base bound must be a non-negative integer", 0),
     (lambda v: check_algebra_laws(samples=v), "the law suite needs an integer samples >= 1", 1),
 ], ids=["Free rank", "Cyclic modulus", "Presented generators", "Presented coefficient",
-        "boltyanskii_type", "sweep n", "sweep base bound", "law samples"])
+        "smith_normal_form generators", "smith_normal_form coefficient", "boltyanskii_type",
+        "sweep n", "sweep base bound", "law samples"])
 def test_each_integer_argument_rejects_a_bool_a_float_and_a_value_below_its_bound(
         build, what, least):
     # 7.0 is at or above every bound, so only the type test rejects it

@@ -11,8 +11,7 @@ from sympy import factorint, isprime, nextprime
 
 from dimcalc import ValidityError
 from dimcalc.cli import main
-from dimcalc.decorated import PRIME_BOUND, _is_prime, is_prime, require_prime
-from dimcalc.groups import _prime_factors
+from dimcalc.decorated import PRIME_BOUND, _is_prime, _prime_factors, is_prime, require_prime
 
 # The least strong pseudoprimes to the first k prime bases, k = 1..12
 # (2047 for base 2 alone, ..., 318665857834031151167461 for 2..37).

@@ -31,6 +31,9 @@ lets pass.  Docstrings are string constants, so none is looked at.
   targets are left out, as a class in a table still reaches its traced
   ``__init__``.
 - ``stdlib``: every absolute import is of the standard library.
+- ``primes``: ``decorated`` alone decides primes: no other module names
+  ``PRIME_BOUND``, ``is_prime`` or ``_is_prime``; each asks through
+  ``require_prime`` or ``_prime_factors`` instead.
 """
 
 import ast
@@ -176,6 +179,18 @@ def outside_stdlib(tree):
             yield node, f"import of {top}"
 
 
+PRIME_NAMES = {"PRIME_BOUND", "is_prime", "_is_prime"}
+
+
+def prime_names(tree):
+    for node in ast.walk(tree):
+        # a name read or bound, an attribute, an imported name or a definition
+        name = node.id if isinstance(node, ast.Name) else getattr(
+            node, "attr", getattr(node, "name", None))
+        if name in PRIME_NAMES:
+            yield node, name
+
+
 RULES = {
     "marks": Rule(restated_marks, OUTSIDE_DECORATED, (), '''def f(e):
     """>>> Decoration.PLUS"""
@@ -259,6 +274,17 @@ from numpy import array
 from . import decorated
 from .exprs import parse
 ''', ["line 2: import of sympy", "line 3: import of numpy"]),
+    "primes": Rule(prime_names, OUTSIDE_DECORATED, (), '''\
+from .decorated import PRIME_BOUND, _prime_factors, is_prime as prime, require_prime
+def f(n):
+    """>>> is_prime(7)"""
+    if n < PRIME_BOUND and decorated.is_prime(n):
+        return _prime_factors(n), require_prime(n, "modulus"), "is_prime"
+    return decorated._is_prime.cache_info()
+def is_prime(n):
+    return prime(n)
+''', ["line 1: PRIME_BOUND", "line 1: is_prime", "line 4: PRIME_BOUND", "line 4: is_prime",
+      "line 6: _is_prime", "line 7: is_prime"]),
 }
 
 

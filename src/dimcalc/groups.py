@@ -307,6 +307,7 @@ class StructuralProfile:
 
 
 def _profile(group: GroupExpr) -> tuple:
+    # read by bockstein_basis and dim_with_coefficients:
     # (free quotient nonzero, primes where it is not p-divisible or _EVERY_PRIME,
     # primes with p-torsion, primes where that p-torsion is not p-divisible)
     match group:
@@ -339,7 +340,8 @@ def _profile(group: GroupExpr) -> tuple:
 
 def profile(group: GroupExpr) -> StructuralProfile:
     """Structural facts about the torsion-free quotient and p-torsion, each
-    predicate built once from the set-based profile ``bockstein_basis`` reads."""
+    predicate built once from the set-based profile that ``bockstein_basis``
+    and ``dim_with_coefficients`` read."""
     free, free_rough, torsion, rough = _profile(group)
     return StructuralProfile(free, _predicate(True, free_rough), _predicate(False, torsion),
                              _predicate(True, rough))
@@ -412,25 +414,40 @@ def bockstein_basis(group: GroupExpr) -> SigmaSet:
 def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     """Largest value of a dimension type over the basis of a group.
 
-    The supremum over sigma(G) only needs the finitely many primes marked
-    in either the type or the basis.  Every other prime reads the type's
-    default and each predicate's default, so one slot keyed ``None``, which
-    no exception set holds, stands for them all.  Each slot's entry is
-    read once: its three values pair with ``sigma._by_kind()`` in order.
-    Membership reads each predicate's fields without ``__call__``'s
-    check, which the ``None`` slot would fail.
+    By Bockstein's theorem, dim_G X is the largest value of X's type over
+    sigma(G) (A. N. Dranishnikov, "Cohomological dimension theory of compact
+    metric spaces", arXiv:math/0501523).  Membership is read off the
+    set-based profile ``free, free_rough, torsion, rough`` by the rules
+    ``bockstein_basis`` states: Q is in sigma(G) when ``free and not
+    free_rough``, Z/p when p is in ``rough``, Z_{p^inf} when p is in
+    ``torsion`` but not in ``rough``, and Z_(p) when ``free_rough`` is every
+    prime or holds p.
 
-    >>> dim_with_coefficients(DimensionType(2, DecoratedNumber(3, Decoration.MINUS)), Free(1))
-    3
+    The supremum only needs the finitely many primes marked in the type or
+    the profile.  Every other prime reads the type's default, so one slot
+    keyed ``None``, which no prime set holds, stands for them all; it is in
+    Z_(p) only when the torsion-free quotient is p-divisible at no prime.
+    Each slot's entry is read once.
+
+    >>> d = DimensionType(2, DecoratedNumber(3, Decoration.MINUS),
+    ...                   {5: DecoratedNumber(9, Decoration.PLUS)})
+    >>> dim_with_coefficients(d, Rationals() + Cyclic(5))
+    9
+    >>> dim_with_coefficients(d, Rationals() + PadicCircle(3))
+    2
+    >>> dim_with_coefficients(d, Free(1)) == d.dim() == 10
+    True
     """
     if not isinstance(d, DimensionType):
         raise TypeError(f"expected a DimensionType, got {d!r}")
-    sigma = bockstein_basis(group)
-    values: list[ExtNat] = [d.rational] if sigma.rationals else []
+    free, free_rough, torsion, rough = _profile(group)
+    every_prime = free_rough is _EVERY_PRIME
+    values: list[ExtNat] = [d.rational] if free and not free_rough else []
     entries = dict(d.exceptions)
-    by_kind = sigma._by_kind()
-    for p in {None, *entries, *sigma.exception_primes()}:
-        e = entries.get(p, d.default)
-        values += [value for (_, pred), value in zip(by_kind, d._values_at(e))
-                   if pred.default != (p in pred.exceptions)]
+    for p in {None, *entries, *torsion, *(() if every_prime else free_rough)}:
+        cyclic, circle, localized = d._values_at(entries.get(p, d.default))
+        if p in torsion:  # rough primes are torsion primes
+            values.append(cyclic if p in rough else circle)
+        if every_prime or p in free_rough:
+            values.append(localized)
     return max(values, default=0)

@@ -76,12 +76,14 @@ CEILINGS = {
     "narrow-sweep": {"decorated.construct": 1016, "decorated.le": 8},
     "language": {"exprs.parse": 10, "exprs.evaluate": 134, "decorated.construct": 35,
                  "decorated.is_prime": 5, "groups.predicate": 1, "decorated.decnum": 12},
-    # the dim_with_coefficients example alone makes 2 predicates and reads
-    # its marked entries from one dict, with no entry() scan, no prime test
-    # and no BocksteinGroup
+    # the dim_with_coefficients example reads sigma(G) from the set-based
+    # profile: it builds no predicate and no basis, and reads its marked
+    # entries from one dict, with no entry() scan, no prime test and no
+    # BocksteinGroup; the 5 bases and 3 predicates are the five bases' own
     "groups": {"exprs.parse": 0, "exprs.evaluate": 0, "decorated.construct": 1,
-               "decorated.is_prime": 18, "groups.predicate": 5, "decorated.decnum": 2,
-               "decorated.entry": 0, "decorated.basis_group": 0, "decorated.value_at": 0},
+               "decorated.is_prime": 15, "groups.predicate": 3, "groups.sigma": 5,
+               "decorated.decnum": 2, "decorated.entry": 0, "decorated.basis_group": 0,
+               "decorated.value_at": 0},
 }
 
 

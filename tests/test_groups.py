@@ -609,6 +609,17 @@ class TestProfileInvariant:
     def test_dim_matches_reduction_oracle(self, d, group):
         assert dim_with_coefficients(d, group) == reduction_oracle(d, group)
 
+    @given(dimension_types(allow_inf=True), GROUP_EXPRS)
+    def test_dim_with_inf_matches_reduction_oracle(self, d, group):
+        assert dim_with_coefficients(d, group) == reduction_oracle(d, group)
+
+    @given(dimension_types(allow_inf=True), GROUP_EXPRS)
+    def test_every_prime_localized_gives_dim(self, d, group):
+        # a torsion-free quotient p-divisible at no prime puts every Z_(p) in
+        # sigma(G), and the value at Z_(p) is at least every other value
+        if profile(group).free_quotient_divisible.never():
+            assert dim_with_coefficients(d, group) == d.dim()
+
     def test_flattened_spreads_nested_sums(self):
         nested = DirectSum((DirectSum((Cyclic(2), Free(1))), PadicCircle(3)))
         assert flattened(nested) == Cyclic(2) + Free(1) + PadicCircle(3)

@@ -107,7 +107,17 @@ def _predicate(default: bool, primes) -> PrimePredicate:
 
 
 class GroupExpr:
-    """Base class for coefficient group descriptions."""
+    """Base class for coefficient group descriptions.
+
+    A group is immutable, so its set-based profile is kept on it once
+    computed, outside its fields.  Copies and pickles hold the fields alone.
+    """
+
+    def __getstate__(self):
+        # the fields, or None when there are none, as object.__getstate__
+        # gives: a group pickles to the same bytes before and after profiling
+        state = {name: value for name, value in vars(self).items() if name != "_sets"}
+        return state or None
 
     def __add__(self, other: "GroupExpr") -> "GroupExpr":
         if not isinstance(other, GroupExpr):
@@ -307,41 +317,52 @@ class StructuralProfile:
 
 
 def _profile(group: GroupExpr) -> tuple:
-    # read by bockstein_basis and dim_with_coefficients:
+    # read by profile, bockstein_basis and dim_with_coefficients:
     # (free quotient nonzero, primes where it is not p-divisible or _EVERY_PRIME,
-    # primes with p-torsion, primes where that p-torsion is not p-divisible)
+    # primes with p-torsion, primes where that p-torsion is not p-divisible).
+    # Computed once per group object and kept on it as ``_sets``, a summand's
+    # too; a copy recomputes it (GroupExpr.__getstate__), and a group that
+    # raises keeps nothing, so it raises again on the next call.
+    sets = getattr(group, "_sets", None)
+    if sets is not None:
+        return sets
     match group:
         case DirectSum(parts=parts):
             # a sum is p-divisible exactly when every summand is: the free
             # quotient and p-torsion both split across summands
             free, free_rough, torsion, rough = zip(*map(_profile, parts))
-            return (any(free), _EVERY_PRIME if _EVERY_PRIME in free_rough
+            sets = (any(free), _EVERY_PRIME if _EVERY_PRIME in free_rough
                     else _NO_PRIMES.union(*free_rough),
                     _NO_PRIMES.union(*torsion), _NO_PRIMES.union(*rough))
         case Rationals():
-            return True, _NO_PRIMES, _NO_PRIMES, _NO_PRIMES
+            sets = True, _NO_PRIMES, _NO_PRIMES, _NO_PRIMES
         case Free(rank=r):
-            return r > 0, _EVERY_PRIME if r else _NO_PRIMES, _NO_PRIMES, _NO_PRIMES
+            sets = r > 0, _EVERY_PRIME if r else _NO_PRIMES, _NO_PRIMES, _NO_PRIMES
         case Cyclic(modulus=m):
             torsion = _prime_factors(m)
-            return False, _NO_PRIMES, torsion, torsion
+            sets = False, _NO_PRIMES, torsion, torsion
         case PadicCircle(prime=p):
-            return False, _NO_PRIMES, frozenset({p}), _NO_PRIMES
+            sets = False, _NO_PRIMES, frozenset({p}), _NO_PRIMES
         case LocalizedIntegers(prime=p):
-            return True, frozenset({p}), _NO_PRIMES, _NO_PRIMES
+            sets = True, frozenset({p}), _NO_PRIMES, _NO_PRIMES
         case Presented(generators=g, relations=rel):
             rank, factors = smith_normal_form(rel, g)
             # every invariant factor divides the last one
             torsion = _prime_factors(factors[-1]) if factors else _NO_PRIMES
-            return rank > 0, _EVERY_PRIME if rank else _NO_PRIMES, torsion, torsion
+            sets = rank > 0, _EVERY_PRIME if rank else _NO_PRIMES, torsion, torsion
         case _:
             raise TypeError(f"not a coefficient group: {group!r}")
+    object.__setattr__(group, "_sets", sets)
+    return sets
 
 
 def profile(group: GroupExpr) -> StructuralProfile:
     """Structural facts about the torsion-free quotient and p-torsion, each
     predicate built once from the set-based profile that ``bockstein_basis``
-    and ``dim_with_coefficients`` read."""
+    and ``dim_with_coefficients`` read.
+
+    That profile is computed once per group object and kept on it, so the
+    three functions share it; a copy or an unpickled group recomputes it."""
     free, free_rough, torsion, rough = _profile(group)
     return StructuralProfile(free, _predicate(True, free_rough), _predicate(False, torsion),
                              _predicate(True, rough))
@@ -399,7 +420,8 @@ def bockstein_basis(group: GroupExpr) -> SigmaSet:
     enters when the torsion-free quotient is not p-divisible, Z/p when
     the p-torsion is not p-divisible (non-divisible torsion is nonzero),
     Z_{p^inf} when it is nonzero and p-divisible, and Q when the
-    torsion-free quotient is nonzero and divisible at every prime.
+    torsion-free quotient is nonzero and divisible at every prime.  The
+    profile is computed once per group object; a copy recomputes it.
 
     >>> print(bockstein_basis(Rationals()))
     {Q}
@@ -421,7 +443,8 @@ def dim_with_coefficients(d: DimensionType, group: GroupExpr) -> ExtNat:
     ``bockstein_basis`` states: Q is in sigma(G) when ``free and not
     free_rough``, Z/p when p is in ``rough``, Z_{p^inf} when p is in
     ``torsion`` but not in ``rough``, and Z_(p) when ``free_rough`` is every
-    prime or holds p.
+    prime or holds p.  This is the profile ``bockstein_basis`` reads, computed
+    once per group object; a copy recomputes it.
 
     The supremum only needs the finitely many primes marked in the type or
     the profile.  Every other prime reads the type's default, so one slot

@@ -3,10 +3,11 @@
 Wall time on a shared host swings too much to gate a change that adds
 work; call counts do not.  ``bench/tracing.py``'s ``instrument`` (loaded
 by path, read-only) records one span per call of each function it lists,
-and five fixed runs are counted with the decorated-number memo cleared
+and six fixed runs are counted with the decorated-number memo cleared
 first: a 200-sample law suite, the n = 6 cube sweep, a narrow n = 20
-sweep, a language batch and a groups batch.  A ceiling may be lowered
-when a change removes work, and is never raised.
+sweep, a language batch, a groups batch and one group asked for its
+basis, a dimension, its profile and a sum's basis.  A ceiling may be
+lowered when a change removes work, and is never raised.
 
 The batches call every span target as ``dimcalc.<module>.<name>`` at
 call time: a name imported here before ``instrument`` runs would bypass
@@ -56,6 +57,17 @@ def groups_batch():
         groups.bockstein_basis(group)
 
 
+def groups_pair():
+    decorated, groups = dimcalc.decorated, dimcalc.groups
+    # one fresh group asked for its basis, a dimension, its profile and, as a
+    # summand, a sum's basis
+    group = groups.Cyclic(12) + groups.Presented(2, ((2, 4), (0, 6)))
+    groups.bockstein_basis(group)
+    groups.dim_with_coefficients(decorated.boltyanskii_type(3), group)
+    groups.profile(group)
+    groups.bockstein_basis(group + groups.Cyclic(2))
+
+
 RUNS = {
     "laws": lambda: check_algebra_laws(seed=1, samples=200),
     "sweep": lambda: cube_theorem_sweep(6, 8),
@@ -66,6 +78,7 @@ RUNS = {
     "narrow-sweep": lambda: cube_theorem_sweep(20, 24),
     "language": language_batch,
     "groups": groups_batch,
+    "groups-pair": groups_pair,
 }
 
 CEILINGS = {
@@ -84,6 +97,11 @@ CEILINGS = {
                "decorated.is_prime": 15, "groups.predicate": 3, "groups.sigma": 5,
                "decorated.decnum": 2, "decorated.entry": 0, "decorated.basis_group": 0,
                "decorated.value_at": 0},
+    # the group's profile is computed once and kept on it, so its pres is
+    # reduced once and its moduli factored once, and the sum's basis reads
+    # the summand's kept profile; the run builds its groups afresh, so a
+    # second run counts the same
+    "groups-pair": {"groups.snf": 1, "decorated.is_prime": 13},
 }
 
 
@@ -107,3 +125,9 @@ def test_calls_stay_under_their_ceilings(run):
 @pytest.mark.parametrize("run", RUNS)
 def test_counts_repeat(run):
     assert span_counts(RUNS[run]) == span_counts(RUNS[run])
+
+
+def test_a_fresh_group_is_reduced_once():
+    # not 0 either: a memo that outlived the group object, keyed by its
+    # value, would be warm here from the ceiling run of the same group
+    assert span_counts(groups_pair)["groups.snf"] == 1

@@ -1,12 +1,15 @@
 """Bockstein bases, structural profiles, and Smith normal form."""
 
+import copy
+import dataclasses
 import itertools
 import operator
+import pickle
 import random
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dimcalc import (
@@ -17,6 +20,7 @@ from dimcalc import (
     Decoration,
     DirectSum,
     Free,
+    GroupExpr,
     LocalizedIntegers,
     PadicCircle,
     Presented,
@@ -624,6 +628,54 @@ class TestProfileInvariant:
         nested = DirectSum((DirectSum((Cyclic(2), Free(1))), PadicCircle(3)))
         assert flattened(nested) == Cyclic(2) + Free(1) + PadicCircle(3)
         assert profile(nested) == profile(flattened(nested))
+
+
+def rebuilt(group):
+    """An equal group built afresh from its fields, each summand too, so that
+    no part of it has been profiled."""
+    if isinstance(group, DirectSum):
+        return DirectSum(tuple(map(rebuilt, group.parts)))
+    return dataclasses.replace(group)
+
+
+COPIES = (lambda group: pickle.loads(pickle.dumps(group)), copy.copy, copy.deepcopy)
+SOME_TYPE = DimensionType(2, DecoratedNumber(3, Decoration.MINUS),
+                          {5: DecoratedNumber(9, Decoration.PLUS)})
+
+
+class TestProfileKeptOnTheGroup:
+    """A group keeps its profile once computed; copies and pickles hold its
+    fields alone and compute their own, and a failed profile keeps nothing."""
+
+    @given(GROUP_EXPRS, dimension_types(allow_inf=True))
+    @example(Free(1), SOME_TYPE)
+    @example(Rationals() + Free(1), SOME_TYPE)
+    @example(Cyclic(12) + Presented(2, ((2, 4), (0, 6))), SOME_TYPE)
+    def test_copies_and_pickles_recompute_it(self, group, d):
+        group = rebuilt(group)
+        unprofiled = pickle.dumps(group)
+        sigma, dim = bockstein_basis(group), dim_with_coefficients(d, group)
+        pr = profile(group)
+        assert pickle.dumps(group) == unprofiled
+        for make in COPIES:
+            twin = make(group)
+            assert vars(twin) == vars(rebuilt(group))
+            assert twin == group and hash(twin) == hash(group)
+            assert (profile(twin), bockstein_basis(twin), dim_with_coefficients(d, twin)) == (
+                pr, sigma, dim)
+
+    def test_a_failed_profile_is_not_kept(self):
+        class Unknown(GroupExpr):
+            pass
+
+        unknown = Unknown()
+        for group in (unknown, Cyclic(2) + unknown):
+            for call in (profile, bockstein_basis, profile,
+                         lambda g: dim_with_coefficients(SOME_TYPE, g)):
+                with pytest.raises(TypeError) as caught:
+                    call(group)
+                assert str(caught.value) == f"not a coefficient group: {unknown!r}"
+        assert vars(unknown) == {}
 
 
 def folded_profile(group):

@@ -11,6 +11,11 @@ lets pass.  Docstrings are string constants, so none is looked at.
   ``Decoration`` class, or iterating the class, states them again.
 - ``memo``: a ``DecoratedNumber(...)`` call outside ``decorated``
   bypasses ``decorated_number``, the memo that validates each entry once.
+  ``decorated``'s ``_is_prime`` and ``decorated_number`` are the only
+  module-level memos: no other module applies ``functools.lru_cache`` or
+  ``cache``, which would hold its arguments for the life of the process
+  and count warm in a repeated run.  A group's profile is kept on the
+  group object instead.
 - ``integer rule``: "a non-``bool`` ``int``, at least k" is stated only in
   ``decorated.require_int``: no other ``if`` that tests
   ``isinstance(..., bool)`` raises ``ValidityError``.  Checks that do not
@@ -90,10 +95,21 @@ def restated_marks(tree):
             yield node, f"{called(node)}(Decoration)"
 
 
-def entry_constructor_calls(tree):
+MEMOS = {"lru_cache", "cache"}
+
+
+def memos_outside_decorated(tree):
     for node in ast.walk(tree):
-        if called(node).rpartition(".")[2] == "DecoratedNumber":
+        callee = called(node).rpartition(".")[2]
+        if callee == "DecoratedNumber":
             yield node, "DecoratedNumber(...)"
+        elif callee in MEMOS:  # lru_cache(maxsize=n)(f), cache(f) or @lru_cache(...)
+            yield node, f"{called(node)}(...)"
+        for decorator in getattr(node, "decorator_list", ()):
+            # a bare @cache or @functools.cache; a called one is a Call above
+            if (not isinstance(decorator, ast.Call)
+                    and ast.unparse(decorator).rpartition(".")[2] in MEMOS):
+                yield decorator, f"@{ast.unparse(decorator)}"
 
 
 def restated_int_rules(tree):
@@ -201,13 +217,21 @@ RULES = {
 ''', ["line 3: Decoration.NONE", "line 3: iteration over Decoration",
       "line 4: iteration over Decoration",
       "line 6: Decoration.MINUS", "line 6: tuple(Decoration)"]),
-    "memo": Rule(entry_constructor_calls, OUTSIDE_DECORATED, (), '''\
+    "memo": Rule(memos_outside_decorated, OUTSIDE_DECORATED, (), '''\
 def f(e: DecoratedNumber, m) -> DecoratedNumber:
     """>>> DecoratedNumber(1)"""
     if isinstance(e, DecoratedNumber):
         return decorated_number(1, m)
     return DecoratedNumber(2, m), decorated.DecoratedNumber(3, m)
-''', ["line 5: DecoratedNumber(...)", "line 5: DecoratedNumber(...)"]),
+@functools.lru_cache(maxsize=64)
+def g(group):
+    return _profile(group), object.__setattr__(group, "_sets", ())
+@cache
+def h(n):
+    return lru_cache(maxsize=None)(f), functools.cache(g), cached_property(h)
+''', ["line 5: DecoratedNumber(...)", "line 5: DecoratedNumber(...)",
+      "line 6: functools.lru_cache(...)", "line 9: @cache", "line 11: functools.cache(...)",
+      "line 11: lru_cache(...)"]),
     "integer rule": Rule(restated_int_rules, MODULES, ("require_int",), '''\
 def require_int(value, least, what):
     if isinstance(value, bool) or not isinstance(value, int):

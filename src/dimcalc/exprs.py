@@ -17,7 +17,7 @@ power tighter, so chains associate to the left:
                 | 'B' '(' INT ')' | 'C' '(' INT ')'
                 | 'dim' '(' expression ')' | 'sigma' '(' expression ')'
                 | 'Q' | 'Z' ['^' NUM | '/' NUM] | 'Zpinf' '(' INT ')' | 'Zloc' '(' INT ')'
-                | 'pres' '[' ( '[' INT (',' INT)* ']' )* ']'
+                | 'pres' '[' [ '[' [INT (',' INT)*] ']' (',' '[' [INT (',' INT)*] ']')* ] ']'
                 | '-' primary
     INT        := term ( ('+' | '-') term )*                 an integer expression
     DECNUM     := INT ['+' | '-']                            trailing sign is a

@@ -185,6 +185,21 @@ class LocalizedIntegers(GroupExpr):
         return f"Zloc({self.prime})"
 
 
+def _relation_rows(generators: int, rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The relation rows, checked: one integer per generator in each."""
+    require_int(generators, 0, "generator count must be >= 0")
+    # any rows, lists too, are kept as tuples: equal groups compare equal
+    rows = tuple(map(tuple, rows))
+    for row in rows:
+        if len(row) != generators:
+            raise ValidityError(
+                f"relation {list(row)} has {len(row)} coefficients for {generators} generators")
+        for c in row:
+            if type(c) is not int:
+                require_int(c, None, "relation coefficient must be an integer")
+    return rows
+
+
 @dataclass(frozen=True)
 class Presented(GroupExpr):
     """Finitely presented abelian group: Z^generators / rows(relations).
@@ -196,16 +211,7 @@ class Presented(GroupExpr):
     relations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        require_int(self.generators, 0, "generator count must be >= 0")
-        # any rows, lists too, are kept as tuples: equal groups compare equal
-        object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
-        for row in self.relations:
-            if len(row) != self.generators:
-                raise ValidityError(
-                    f"relation {list(row)} has {len(row)} coefficients for {self.generators} generators"
-                )
-            for c in row:
-                require_int(c, None, "relation coefficient must be an integer")
+        object.__setattr__(self, "relations", _relation_rows(self.generators, self.relations))
 
     def __str__(self) -> str:
         rows = ",".join("[" + ",".join(str(c) for c in row) + "]" for row in self.relations)
@@ -231,27 +237,20 @@ class DirectSum(GroupExpr):
 def smith_normal_form(
     relations: Sequence[Sequence[int]], generators: int
 ) -> tuple[int, list[int]]:
-    """Diagonalize an integer relation matrix.
+    """Diagonalize a relation matrix: one row per relation, one integer per generator.
 
     Returns ``(rank, factors)``: the free rank of the quotient group and
     the nontrivial invariant factors in divisibility order, units dropped.
 
     >>> smith_normal_form([[2, 0], [0, 12]], 2)
     (0, [2, 12])
-    >>> smith_normal_form([[]], 1)
+    >>> smith_normal_form([[0]], 1)
     (1, [])
     >>> smith_normal_form([[6, 4], [4, 6]], 2)
     (0, [2, 10])
     """
-    require_int(generators, 0, "generator count must be >= 0")
-    m = [list(row) for row in relations if row]
+    m = [list(row) for row in _relation_rows(generators, relations)]
     rows, cols = len(m), generators
-    for row in m:
-        if len(row) != cols:
-            raise ValidityError(f"relation rows must have {cols} entries")
-        for c in row:
-            if type(c) is not int:
-                require_int(c, None, "relation coefficient must be an integer")
 
     diag: list[int] = []
     top = 0

@@ -191,7 +191,7 @@ class TestGroupExpressions:
 class TestSmithNormalForm:
     def test_free_group(self):
         assert smith_normal_form([], 1) == (1, [])
-        assert smith_normal_form([[]], 1) == (1, [])
+        assert smith_normal_form([[]], 0) == (0, [])
         assert smith_normal_form([[0, 0]], 2) == (2, [])
 
     def test_frozen_examples(self):
@@ -239,6 +239,30 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 4)
             matrix = [[rng.randint(-1000, 1000) for _ in range(cols)] for _ in range(rows)]
             assert smith_normal_form(matrix, cols) == det_invariants(matrix, cols)
+
+
+class TestRelationRows:
+    """`Presented` and `smith_normal_form` read relation rows by one rule:
+    one integer per generator in every row, an empty row included."""
+
+    @pytest.mark.parametrize("generators, rows, message", [
+        (2, [[1]], "relation [1] has 1 coefficients for 2 generators"),
+        (1, [[]], "relation [] has 0 coefficients for 1 generators"),
+        (2, [[1, 2], [3]], "relation [3] has 1 coefficients for 2 generators"),
+        (1, [[True]], "relation coefficient must be an integer, got True"),
+        (1, [[2.0]], "relation coefficient must be an integer, got 2.0"),
+    ], ids=["short row", "empty row", "ragged rows", "bool coefficient", "float coefficient"])
+    def test_both_entry_points_give_one_message(self, generators, rows, message):
+        for build in (lambda: Presented(generators, rows), lambda: smith_normal_form(rows, generators)):
+            with pytest.raises(ValidityError) as caught:
+                build()
+            assert str(caught.value) == message
+
+    def test_an_empty_row_on_no_generators_is_the_trivial_group(self):
+        assert smith_normal_form([[]], 0) == (0, [])
+        group = Presented(0, [[]])
+        assert str(group) == "pres[[]]"
+        assert profile(group) == profile(Free(0))
 
 
 class TestProfile:

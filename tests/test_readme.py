@@ -48,7 +48,7 @@ def test_cli_example(argv, output, capsys):
 
 
 def test_examples_found():
-    assert len(EXAMPLES) == 4
+    assert len(EXAMPLES) == 5
 
 
 # each cap as the README states it, read with its line breaks as spaces
